@@ -4,6 +4,8 @@ Flat row-major lists of ints in [0, p). Same signatures as the compiled
 module; _kernels/__init__ picks whichever is available.
 """
 
+from itertools import compress
+
 BACKEND = "python"
 
 
@@ -90,53 +92,47 @@ def nilpotent_rank_sequence(mat, n, p):
     Iterates an echelonized basis of the image instead of forming powers:
     the k-th step multiplies N into a basis of im(N^(k-1)) and re-reduces,
     so the cost is governed by the (shrinking) ranks, not by n^3 per power.
+    Vectors are dicts {row: nonzero value} and N is applied column by
+    column from its nonzero entries, so each step costs time in proportion
+    to the nonzeros it touches; for a block-diagonal module, where N has at
+    most one nonzero per row, that is linear in n.
     Raises ValueError if N is not nilpotent.
     """
+    cols = [[] for _ in range(n)]  # cols[j]: the (i, N[i][j]) with N[i][j] != 0
+    for k in compress(range(n * n), mat):
+        i, j = divmod(k, n)
+        cols[j].append((i, mat[k]))
     ranks = [n]
-    basis = [[mat[i * n + j] for i in range(n)] for j in range(n)]  # columns of N
+    images = [dict(col) for col in cols]  # the columns of N span im(N)
     while True:
-        basis = _echelonize_columns(basis, n, p)
+        # Echelonize: each kept vector is scaled to 1 at its pivot, the
+        # least row where it is nonzero, and is stored under that pivot.
+        basis = {}
+        for v in images:
+            while v:
+                piv = min(v)
+                w = basis.get(piv)
+                if w is None:
+                    inv = pow(v[piv], -1, p)
+                    basis[piv] = {i: x * inv % p for i, x in v.items()}
+                    break
+                c = v[piv]
+                for i, x in w.items():
+                    y = (v.get(i, 0) - c * x) % p
+                    if y:
+                        v[i] = y
+                    else:
+                        del v[i]  # y == 0 only where v had an entry: c, x != 0 mod prime p
         r = len(basis)
         ranks.append(r)
         if r == 0:
             return ranks
         if r >= ranks[-2]:
             raise ValueError("matrix is not nilpotent")
-        basis = [_apply(mat, v, n, p) for v in basis]
-
-
-def _apply(mat, v, n, p):
-    out = [0] * n
-    for i in range(n):
-        row = mat[i * n : (i + 1) * n]
-        s = 0
-        for j in range(n):
-            c = v[j]
-            if c:
-                s += row[j] * c
-        out[i] = s % p
-    return out
-
-
-def _echelonize_columns(vectors, n, p):
-    basis = {}
-    for v in vectors:
-        v = list(v)
-        while True:
-            piv = -1
-            for i in range(n):
-                if v[i]:
-                    piv = i
-                    break
-            if piv < 0:
-                break
-            if piv in basis:
-                c = v[piv]
-                w = basis[piv]
-                for i in range(piv, n):
-                    v[i] = (v[i] - c * w[i]) % p
-            else:
-                inv = pow(v[piv], -1, p)
-                basis[piv] = [x * inv % p for x in v]
-                break
-    return [basis[k] for k in sorted(basis)]
+        images = []
+        for v in basis.values():
+            acc = {}
+            for j, x in v.items():
+                for i, c in cols[j]:
+                    acc[i] = acc.get(i, 0) + x * c
+            images.append({i: y for i, s in acc.items() if (y := s % p)})

@@ -247,10 +247,6 @@ def algebra_element(tower, b, coeffs):
     return AlgebraElement(tower, b, coeffs)
 
 
-def ca_zero(tower, b):
-    return algebra_element(tower, b, (0,) * tower.r)
-
-
 def ca_one(tower, b):
     return algebra_element(tower, b, (1,) + (0,) * (tower.r - 1))
 

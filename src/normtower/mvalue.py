@@ -24,10 +24,6 @@ UNDETERMINED = _Sentinel("undetermined")
 UNDETERMINED_LE0 = _Sentinel("undetermined<=0")
 
 
-def is_concrete(m):
-    return m == NEG_INF or isinstance(m, int)
-
-
 def format_m(m):
     if m == NEG_INF:
         return "-inf"

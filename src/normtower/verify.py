@@ -347,10 +347,6 @@ CHECKS = (
 )
 
 
-def check_names():
-    return tuple((cid, name) for cid, name, _ in CHECKS)
-
-
 def run_checks(only=None, seed=0, precision=None):
     """Run the registered checks, optionally filtered by id or name prefix."""
     ctx = _Context(seed, precision)

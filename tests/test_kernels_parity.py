@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -87,3 +88,75 @@ def test_pure_rank_sequence_known_values():
     j3 = [0, 1, 0, 0, 0, 1, 0, 0, 0]
     assert _core_py.nilpotent_rank_sequence(j3, 3, 5) == [3, 2, 1, 0]
     assert _core_py.nilpotent_rank_sequence([0], 1, 2) == [1, 0]
+
+
+# Moduli where int64 products overflow: (p - 1)^2 >= 2^63.
+OVERFLOW_PRIMES = (4294967311, 2**61 - 1)
+
+
+@needs_compiled
+def test_dispatch_is_exact_past_int64():
+    from normtower import _kernels
+
+    rng = random.Random(4)
+    for p in OVERFLOW_PRIMES:
+        for _ in range(10):
+            n = rng.randint(2, 6)
+            a = random_flat(rng, n, n, p)
+            b = random_flat(rng, n, n, p)
+            assert _kernels.mat_mul(a, b, n, n, n, p) == _core_py.mat_mul(a, b, n, n, n, p)
+            assert _kernels.rref(list(a), n, n, p) == _core_py.rref(list(a), n, n, p)
+            assert _kernels.rank(list(a), n, n, p) == _core_py.rank(list(a), n, n, p)
+            nil = random_nilpotent(rng, n, p)
+            assert _kernels.nilpotent_rank_sequence(nil, n, p) == _core_py.nilpotent_rank_sequence(
+                nil, n, p
+            )
+
+
+@needs_compiled
+def test_compiled_exact_up_to_int64_bound():
+    # 3037000493 is the largest prime with (p - 1)^2 < 2^63, and
+    # 2 (2^31 - 2)^2 < 2^63, so these calls stay on the compiled kernels
+    rng = random.Random(5)
+    p, q = 3037000493, 2**31 - 1
+    for _ in range(10):
+        n = rng.randint(2, 6)
+        a = random_flat(rng, n, n, p)
+        b = random_flat(rng, n, n, p)
+        assert _core.mat_mul(a, b, n, n, n, p) == _core_py.mat_mul(a, b, n, n, n, p)
+        assert _core.rref(list(a), n, n, p) == _core_py.rref(list(a), n, n, p)
+        nil = random_nilpotent(rng, 2, q)
+        assert _core.nilpotent_rank_sequence(nil, 2, q) == _core_py.nilpotent_rank_sequence(nil, 2, q)
+
+
+def test_int64_guard_routes_by_bound(monkeypatch):
+    from normtower import _kernels
+
+    calls = []
+
+    def recording(name):
+        def kernel(*args):
+            calls.append(name)
+            return getattr(_core_py, name)(*args)
+
+        return kernel
+
+    fake = SimpleNamespace(
+        BACKEND="c",
+        **{name: recording(name) for name in ("mat_mul", "rref", "rank", "nilpotent_rank_sequence")},
+    )
+    monkeypatch.setattr(_kernels, "impl", fake)
+
+    for p, compiled in ((3037000493, True), (3037000507, False), (2**61 - 1, False)):
+        calls.clear()
+        _kernels.mat_mul([1], [1], 1, 1, 1, p)
+        _kernels.rref([1], 1, 1, p)
+        _kernels.rank([1], 1, 1, p)
+        assert calls == (["mat_mul", "rref", "rank"] if compiled else [])
+
+    # the rank sequence sums n products before it reduces
+    p = 2**31 - 1
+    for n, compiled in ((1, True), (2, True), (3, False)):
+        calls.clear()
+        assert _kernels.nilpotent_rank_sequence([0] * (n * n), n, p) == [n, 0]
+        assert calls == (["nilpotent_rank_sequence"] if compiled else [])
