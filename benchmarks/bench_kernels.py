@@ -1,7 +1,11 @@
 """Timing comparison: compiled matrix kernels vs the pure-Python fallback.
 
 Runs mat_mul, rref, and nilpotent_rank_sequence on random inputs of a few
-sizes and prints the best-of-k wall time for each backend.
+sizes and prints the best-of-k wall time for each backend. The rank
+sequence runs twice: on a random strictly upper-triangular matrix (one
+Jordan block, n steps), and on N = sigma - 1 of a dense module, Jordan
+blocks of at most 32 conjugated by random transvections, as `decompose`
+meets it on a conjugated module file.
 """
 
 import argparse
@@ -29,6 +33,27 @@ def random_nilpotent(rng, n, p):
     return flat
 
 
+def dense_module_nilpotent(rng, n, p, largest=32):
+    """N of Jordan blocks of random sizes up to `largest`, conjugated by
+    4 n random transvections I + c e_i e_j^T, which fill it densely."""
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    while at < n:
+        size = min(rng.randint(1, largest), n - at)
+        for i in range(at, at + size - 1):
+            rows[i][i + 1] = 1
+        at += size
+    for _ in range(4):
+        for j in range(n):
+            i = rng.randrange(n - 1)
+            i += i >= j
+            c = rng.randrange(1, p)
+            for r in rows:  # column j += c * column i
+                r[j] = (r[j] + c * r[i]) % p
+            rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[j])]
+    return [x for r in rows for x in r]
+
+
 def best_of(fn, repeats):
     best = float("inf")
     for _ in range(repeats):
@@ -54,7 +79,7 @@ def main():
     else:
         print("compiled kernels unavailable; timing the fallback only")
 
-    header = f"{'op':<26}{'n':>6}" + "".join(f"{name:>14}" for name, _ in backends)
+    header = f"{'op':<30}{'n':>6}" + "".join(f"{name:>14}" for name, _ in backends)
     if len(backends) == 2:
         header += f"{'speedup':>10}"
     print(header)
@@ -64,6 +89,7 @@ def main():
         a = random_flat(rng, n, n, args.p)
         b = random_flat(rng, n, n, args.p)
         nil = random_nilpotent(rng, n, args.p)
+        module_nil = dense_module_nilpotent(rng, n, args.p)
         cases = (
             ("mat_mul", lambda mod: mod.mat_mul(a, b, n, n, n, args.p)),
             ("rref", lambda mod: mod.rref(list(a), n, n, args.p)),
@@ -71,12 +97,16 @@ def main():
                 "nilpotent_rank_sequence",
                 lambda mod: mod.nilpotent_rank_sequence(nil, n, args.p),
             ),
+            (
+                "rank_sequence_dense_module",
+                lambda mod: mod.nilpotent_rank_sequence(module_nil, n, args.p),
+            ),
         )
         for op_name, call in cases:
             times = []
             for _, mod in backends:
                 times.append(best_of(lambda: call(mod), args.repeats))
-            row = f"{op_name:<26}{n:>6}"
+            row = f"{op_name:<30}{n:>6}"
             for t in times:
                 row += f"{t * 1000:>12.2f}ms"
             if len(times) == 2 and times[1] > 0:

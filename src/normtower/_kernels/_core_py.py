@@ -4,7 +4,7 @@ Flat row-major lists of ints in [0, p). Same signatures as the compiled
 module; _kernels/__init__ picks whichever is available.
 """
 
-from itertools import compress
+import struct
 
 BACKEND = "python"
 
@@ -86,43 +86,114 @@ def rank(mat, rows, cols, p):
     return r
 
 
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _layout(n, p):
+    """(size, s, m, qmask): how nilpotent_rank_sequence packs n residues mod p.
+
+    Every sum it leaves unreduced is below 2^h, h being the bit length of
+    n (p - 1)^2 + p. With s = h + bitlen(p - 1) and m = ceil(2^s / p),
+    floor(x m / 2^s) = floor(x / p) for every x < 2^h (Granlund and
+    Montgomery, PLDI 1994). A field of h + bitlen(m) bits holds x m, so no
+    field carries into the next; it is rounded up to `size` whole bytes so
+    that vectors convert to and from bytes in C. qmask has the low
+    8 size - s bits of every field set: after the shift by s, those hold
+    the field's own quotient.
+    """
+    h = (n * (p - 1) ** 2 + p).bit_length()
+    s = h + (p - 1).bit_length()
+    m = -(-(1 << s) // p)
+    size = -(-(h + m.bit_length()) // 8)
+    ones = int.from_bytes(b"\x01".ljust(size, b"\x00") * n, "little")
+    return size, s, m, ((1 << (8 * size - s)) - 1) * ones
+
+
+def _reduce(x, p, m, s, qmask):
+    """x with every field, each below 2^h, reduced mod p at once."""
+    return x - p * (((x * m) >> s) & qmask)
+
+
+def _item_bytes(p):
+    """Bytes that hold a residue mod p: a struct item size (1, 2, 4 or 8),
+    or None past 8 bytes."""
+    k = max(1, -(-(p - 1).bit_length() // 8))
+    return next((c for c in _STRUCT_CODES if c >= k), None)
+
+
+def _to_fields(values, k, size):
+    """Little-endian bytes with one `size`-byte field per value; every
+    value fits in k bytes (_item_bytes)."""
+    if k is None:
+        return b"".join(x.to_bytes(size, "little") for x in values)
+    if k == 1:
+        raw = bytes(values)  # the same bytes as struct's "B", in a third of the time
+    else:
+        raw = struct.pack(f"<{len(values)}{_STRUCT_CODES[k]}", *values)
+    if size == k:
+        return raw
+    spread = bytearray(len(raw) // k * size)
+    for t in range(k):
+        spread[t::size] = raw[t::k]
+    return spread
+
+
+def _from_fields(raw, k, size):
+    """Inverse of _to_fields: the values of the fields of raw."""
+    if k is None:
+        return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    if k == 1:
+        return raw[::size]
+    low = bytearray(len(raw) // size * k)
+    for t in range(k):
+        low[t::k] = raw[t::size]
+    return struct.unpack(f"<{len(low) // k}{_STRUCT_CODES[k]}", low)
+
+
 def nilpotent_rank_sequence(mat, n, p):
     """[rank(N^0), rank(N^1), ...] down to 0 for a nilpotent n x n matrix N.
 
     Iterates an echelonized basis of the image instead of forming powers:
     the k-th step multiplies N into a basis of im(N^(k-1)) and re-reduces,
     so the cost is governed by the (shrinking) ranks, not by n^3 per power.
-    Vectors are dicts {row: nonzero value} and N is applied column by
-    column from its nonzero entries, so each step costs time in proportion
-    to the nonzeros it touches; for a block-diagonal module, where N has at
-    most one nonzero per row, that is linear in n.
+    It runs on the transpose, whose powers have the same ranks, because
+    the columns of N^T are the rows of N, contiguous in `mat`.
+
+    A vector is one Python int with one field per coordinate (_layout),
+    so each operation is a few big-int operations in C rather than a
+    Python loop over entries, as in Dumas, Fousse and Salvy (J. Symb.
+    Comput. 46(7), 2011):
+    - pivot: the least nonzero field, read off the lowest set bit;
+    - row step: v + ((p - c) / c_w mod p) w, c and c_w the pivot fields of
+      v and of the kept w, then one _reduce of all fields;
+    - mat-vec: N^T b is the sum of c_j times column j over the nonzero
+      fields c_j of b, read from its bytes between its first and last
+      nonzero field, so a sparse b costs little.
     Raises ValueError if N is not nilpotent.
     """
-    cols = [[] for _ in range(n)]  # cols[j]: the (i, N[i][j]) with N[i][j] != 0
-    for k in compress(range(n * n), mat):
-        i, j = divmod(k, n)
-        cols[j].append((i, mat[k]))
+    size, s, m, qmask = _layout(n, p)
+    width = 8 * size
+    fmask = (1 << width) - 1
+    item = _item_bytes(p)
+    raw = _to_fields(mat, item, size)
+    row = n * size
+    cols = [int.from_bytes(raw[i * row : (i + 1) * row], "little") for i in range(n)]
     ranks = [n]
-    images = [dict(col) for col in cols]  # the columns of N span im(N)
+    images = cols  # the columns of N^T span im(N^T)
     while True:
-        # Echelonize: each kept vector is scaled to 1 at its pivot, the
-        # least row where it is nonzero, and is stored under that pivot.
+        # Echelonize: each kept vector is stored under its pivot, with the
+        # inverse of its pivot field.
         basis = {}
         for v in images:
             while v:
-                piv = min(v)
-                w = basis.get(piv)
-                if w is None:
-                    inv = pow(v[piv], -1, p)
-                    basis[piv] = {i: x * inv % p for i, x in v.items()}
+                piv = ((v & -v).bit_length() - 1) // width
+                c = (v >> (width * piv)) & fmask
+                kept = basis.get(piv)
+                if kept is None:
+                    basis[piv] = (v, pow(c, -1, p))
                     break
-                c = v[piv]
-                for i, x in w.items():
-                    y = (v.get(i, 0) - c * x) % p
-                    if y:
-                        v[i] = y
-                    else:
-                        del v[i]  # y == 0 only where v had an entry: c, x != 0 mod prime p
+                w, inv = kept
+                v = _reduce(v + (p - c) * inv % p * w, p, m, s, qmask)
         r = len(basis)
         ranks.append(r)
         if r == 0:
@@ -130,9 +201,11 @@ def nilpotent_rank_sequence(mat, n, p):
         if r >= ranks[-2]:
             raise ValueError("matrix is not nilpotent")
         images = []
-        for v in basis.values():
-            acc = {}
-            for j, x in v.items():
-                for i, c in cols[j]:
-                    acc[i] = acc.get(i, 0) + x * c
-            images.append({i: y for i, s in acc.items() if (y := s % p)})
+        for piv, (w, _) in basis.items():
+            count = (w.bit_length() - 1) // width + 1 - piv
+            fields = (w >> (width * piv)).to_bytes(count * size, "little")
+            acc = 0
+            for c, col in zip(_from_fields(fields, item, size), cols[piv : piv + count]):
+                if c:
+                    acc += c * col
+            images.append(_reduce(acc, p, m, s, qmask))

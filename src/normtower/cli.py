@@ -5,6 +5,7 @@ One binary, nine subcommands, deterministic output. Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -239,7 +240,11 @@ def _cmd_verify_paper(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and kept: it holds no
+    per-call state, and usage and help go to the sys.stdout and sys.stderr
+    current at each call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"

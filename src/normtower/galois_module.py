@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from . import fp_linalg
+from . import _kernels, fp_linalg
 from .errors import (
     InternalCheckError,
     InvalidShape,
@@ -45,9 +45,12 @@ class GModule:
         self.n = n
         self.sigma = sigma
         if _ranks is None:
-            nil = sigma - FpMatrix.identity(p, sigma.rows)
+            d = sigma.rows
+            nil = list(sigma.entries)  # N = sigma - 1, entries still in [0, p)
+            for i in range(0, d * d, d + 1):
+                nil[i] = (nil[i] - 1) % p
             try:
-                _ranks = fp_linalg.nilpotent_rank_sequence(nil)
+                _ranks = _kernels.nilpotent_rank_sequence(nil, d, p)
             except ValueError:
                 raise OrderViolation(
                     "sigma - 1 is not nilpotent; the order is not a power of p"
@@ -388,7 +391,26 @@ def module_to_json(mod):
 
 
 def module_from_json(data):
+    """The module a CLI JSON file describes. p, n and every entry of sigma
+    must be JSON integers and sigma a non-empty square list of rows;
+    anything else is a ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("module JSON must be an object")
     for key in ("p", "n", "sigma"):
         if key not in data:
             raise ValueError(f"module JSON lacks key {key!r}")
-    return new_gmodule(data["p"], data["n"], data["sigma"])
+    for key in ("p", "n"):
+        if type(data[key]) is not int:
+            raise ValueError(f"module JSON {key!r} must be an integer, got {data[key]!r}")
+    sigma = data["sigma"]
+    if not (
+        isinstance(sigma, list)
+        and sigma
+        and all(isinstance(row, list) and len(row) == len(sigma) for row in sigma)
+    ):
+        raise ValueError("module JSON 'sigma' must be a non-empty square list of rows")
+    entries = list(itertools.chain.from_iterable(sigma))
+    if list(map(type, entries)).count(int) != len(entries):
+        raise ValueError("module JSON 'sigma' entries must be integers")
+    d = len(sigma)
+    return GModule(data["p"], data["n"], FpMatrix(data["p"], d, d, entries))

@@ -2,6 +2,9 @@
 
 Every check runs through the shared registry that also backs the
 verify-paper subcommand, with the default seed and exact arithmetic.
+The whole registry runs once per session and every test reads that one
+report; each check draws from its own named generator, so a check's
+record does not depend on which others ran.
 Run with -v (or -s to see the lines as they print).
 """
 
@@ -12,23 +15,23 @@ from normtower import verify
 CHECK_IDS = [check_id for check_id, _, _ in verify.CHECKS]
 
 
-def _run_single(check_id):
-    report = verify.run_checks(only=check_id, seed=0)
-    assert len(report.records) == 1
-    return report.records[0]
+@pytest.fixture(scope="session")
+def report():
+    return verify.run_checks(seed=0)
 
 
 @pytest.mark.parametrize("check_id", CHECK_IDS)
-def test_acceptance(check_id):
-    record = _run_single(check_id)
+def test_acceptance(report, check_id):
+    records = [r for r in report.records if r.check_id == check_id]
+    assert len(records) == 1
+    record = records[0]
     status = "PASS" if record.passed else "FAIL"
     print(f"{status} {record.check_id} {record.name}: {record.detail}")
     assert record.passed, f"{record.check_id} {record.name}: {record.detail}"
 
 
-def test_registry_is_complete_and_sorted():
+def test_registry_is_complete_and_sorted(report):
     assert len(verify.CHECKS) == 10
     assert CHECK_IDS == sorted(CHECK_IDS)
-    report = verify.run_checks(seed=0)
     assert [r.check_id for r in report.records] == CHECK_IDS
     assert report.passed

@@ -1,6 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+from normtower import cli
 from normtower.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -110,6 +119,63 @@ def test_parse_errors_exit_1(capsys, tmp_path):
     incomplete.write_text(json.dumps({"p": 3}))
     code, _, err = run(capsys, "decompose", str(incomplete))
     assert code == 1
+
+
+def test_decompose_rejects_malformed_module_json(capsys, tmp_path):
+    ragged = {"p": 3, "n": 1, "sigma": [[1, 0], [0]]}
+    cases = (
+        ({"p": 3, "n": 1, "sigma": []}, "sigma"),
+        ({"p": 3, "n": 1, "sigma": "ab"}, "sigma"),
+        ({"p": 3, "n": 1, "sigma": [[1.0, 1], [0, 1]]}, "integers"),
+        ({"p": 3, "n": 1, "sigma": [[True, 1], [0, 1]]}, "integers"),
+        ({"p": 2.0, "n": 1, "sigma": [[1, 1], [0, 1]]}, "'p'"),
+        ({"p": 3, "n": "1", "sigma": [[1, 1], [0, 1]]}, "'n'"),
+        (ragged, "square"),
+        ({"p": 3, "n": 1, "sigma": [[1, 1, 0], [0, 1, 0]]}, "square"),
+        ({"p": 3, "n": 1, "sigma": [1, 1]}, "square"),
+        ([[1, 1], [0, 1]], "object"),
+    )
+    for payload, needle in cases:
+        module_file = tmp_path / "mod.json"
+        module_file.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "decompose", str(module_file))
+        assert code == 1, payload
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert needle in err, (payload, err)
+
+
+def test_main_repeats_like_fresh_processes(capsys):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for argv in (
+        ["find-prime", "--p", "3", "--n", "1", "--format", "json"],
+        ["find-prime", "--p", "four", "--n", "1"],
+    ):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "normtower.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=False,
+        )
+        for _ in range(3):
+            assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert fresh.returncode == 1 and fresh.stderr.startswith("usage: normtower")
+
+
+def test_usage_and_help_follow_current_streams(capsys):
+    # the parser is kept between calls; build it while other streams are
+    # installed, then check that it writes to the ones current at the call
+    cli._build_parser.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli._build_parser()
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: normtower") and err == ""
+    code, out, err = run(capsys, "find-prime", "--help")
+    assert code == 0 and out.startswith("usage: normtower find-prime") and err == ""
+    code, out, err = run(capsys, "find-prime", "--p", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("usage: normtower find-prime") and "--n" in err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,4 +1,4 @@
-"""The sparse pure rank sequence against the dense reference in
+"""The packed pure rank sequence against the dense reference in
 dense_rank_reference.py, on seeded inputs that need no compiled kernels."""
 
 import random
@@ -12,6 +12,9 @@ from normtower.fp_linalg import FpMatrix
 
 PRIMES = (2, 3, 5, 7, 251, 4294967311, 2**61 - 1)
 DIMS = range(1, 25)
+# one prime per size of residue the kernel packs: 1, 2, 4 and 8 bytes, and
+# 12 bytes, past every struct item
+ITEM_PRIMES = (251, 257, 65537, 4294967311, 2**89 - 1)
 
 
 def exponent_for(p, dim):
@@ -103,3 +106,85 @@ def test_trace_zero_non_nilpotent_rejected_by_both():
             for kernel in (dense_rank_reference, _core_py):
                 with pytest.raises(ValueError, match="not nilpotent"):
                     kernel.nilpotent_rank_sequence(list(mat), n, p)
+
+
+def jordan_nilpotent(rng, n, largest):
+    """N of a random partition of n into blocks of at most `largest`, and
+    its rank sequence, sum over the blocks of max(0, size - k)."""
+    mat = [0] * (n * n)
+    sizes = []
+    while sum(sizes) < n:
+        at = sum(sizes)
+        sizes.append(min(rng.randint(1, largest), n - at))
+        for i in range(at, at + sizes[-1] - 1):
+            mat[i * n + i + 1] = 1
+    ranks = [sum(max(0, s - k) for s in sizes) for k in range(max(sizes) + 1)]
+    return mat, ranks
+
+
+def conjugate(rng, mat, n, p, rounds=4):
+    """q^-1 N q for q a product of random transvections I + c e_i e_j^T,
+    dense after a few sweeps over the columns."""
+    rows = [mat[i * n : (i + 1) * n] for i in range(n)]
+    for _ in range(rounds):
+        for j in range(n):
+            i = rng.randrange(n - 1)
+            i += i >= j
+            c = rng.randrange(1, p)
+            for r in rows:  # column j += c * column i
+                r[j] = (r[j] + c * r[i]) % p
+            rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[j])]
+    return [x for r in rows for x in r]
+
+
+def test_dense_conjugated_modules():
+    rng = random.Random(14)
+    dims = [40, 60, 80, 100]
+    rng.shuffle(dims)
+    for p, n in zip((2, 3, 5, 7), dims):
+        mat, ranks = jordan_nilpotent(rng, n, rng.choice((4, 16, n)))
+        dense = conjugate(rng, mat, n, p)
+        assert dense.count(0) < n * n * 0.7
+        assert assert_agree(dense, n, p) == ranks
+
+
+def test_worst_case_sums():
+    # N strictly upper triangular with every entry p - 1, so that the
+    # mat-vec sums reach (n - 1)(p - 1)^2, next to the bound the field width
+    # is set by. N = (1 - p) J (1 - J)^-1 for the shift J: one Jordan block.
+    for p in (2, 3, 251, 4294967311, 2**61 - 1) + ITEM_PRIMES:
+        for n in DIMS:
+            mat = [p - 1 if j > i else 0 for i in range(n) for j in range(n)]
+            assert assert_agree(mat, n, p) == list(range(n, -1, -1))
+
+
+def test_reduce_every_field_value():
+    # every value below 2^h in every field at once, its neighbours holding
+    # other values, must come back reduced mod p
+    for p in (2, 3, 5, 7, 11):
+        for n in (1, 2, 3, 8, 24):
+            h = (n * (p - 1) ** 2 + p).bit_length()
+            size, s, m, qmask = _core_py._layout(n, p)
+            width = 8 * size
+            top = (1 << h) - 1
+            for x in range(1 << h):
+                fields = [x if i % 2 == 0 else top - x for i in range(n)]
+                packed = sum(v << (width * i) for i, v in enumerate(fields))
+                reduced = _core_py._reduce(packed, p, m, s, qmask)
+                assert reduced == sum((v % p) << (width * i) for i, v in enumerate(fields))
+
+
+def test_field_bytes_round_trip():
+    rng = random.Random(15)
+    for p in (2,) + ITEM_PRIMES:
+        for n in (1, 5, 24):
+            size = _core_py._layout(n, p)[0]
+            k = _core_py._item_bytes(p)
+            assert (k is None) == (p - 1 >= 2**64)
+            assert k is None or k <= size
+            values = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(n)]
+            raw = _core_py._to_fields(values, k, size)
+            assert int.from_bytes(raw, "little") == sum(
+                v << (8 * size * i) for i, v in enumerate(values)
+            )
+            assert list(_core_py._from_fields(raw, k, size)) == values
