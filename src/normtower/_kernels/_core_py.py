@@ -4,8 +4,6 @@ Flat row-major lists of ints in [0, p). Same signatures as the compiled
 module; _kernels/__init__ picks whichever is available.
 """
 
-import struct
-
 BACKEND = "python"
 
 
@@ -86,9 +84,6 @@ def rank(mat, rows, cols, p):
     return r
 
 
-_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
 def _layout(n, p):
     """(size, s, m, qmask): how nilpotent_rank_sequence packs n residues mod p.
 
@@ -114,40 +109,23 @@ def _reduce(x, p, m, s, qmask):
     return x - p * (((x * m) >> s) & qmask)
 
 
-def _item_bytes(p):
-    """Bytes that hold a residue mod p: a struct item size (1, 2, 4 or 8),
-    or None past 8 bytes."""
-    k = max(1, -(-(p - 1).bit_length() // 8))
-    return next((c for c in _STRUCT_CODES if c >= k), None)
-
-
-def _to_fields(values, k, size):
-    """Little-endian bytes with one `size`-byte field per value; every
-    value fits in k bytes (_item_bytes)."""
-    if k is None:
+def _to_fields(values, p, size):
+    """Little-endian bytes with one `size`-byte field per residue mod p."""
+    if p > 256:
         return b"".join(x.to_bytes(size, "little") for x in values)
-    if k == 1:
-        raw = bytes(values)  # the same bytes as struct's "B", in a third of the time
-    else:
-        raw = struct.pack(f"<{len(values)}{_STRUCT_CODES[k]}", *values)
-    if size == k:
+    raw = bytes(values)
+    if size == 1:
         return raw
-    spread = bytearray(len(raw) // k * size)
-    for t in range(k):
-        spread[t::size] = raw[t::k]
+    spread = bytearray(len(raw) * size)
+    spread[::size] = raw
     return spread
 
 
-def _from_fields(raw, k, size):
+def _from_fields(raw, p, size):
     """Inverse of _to_fields: the values of the fields of raw."""
-    if k is None:
+    if p > 256:
         return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-    if k == 1:
-        return raw[::size]
-    low = bytearray(len(raw) // size * k)
-    for t in range(k):
-        low[t::k] = raw[t::size]
-    return struct.unpack(f"<{len(low) // k}{_STRUCT_CODES[k]}", low)
+    return raw[::size]
 
 
 def nilpotent_rank_sequence(mat, n, p):
@@ -174,8 +152,7 @@ def nilpotent_rank_sequence(mat, n, p):
     size, s, m, qmask = _layout(n, p)
     width = 8 * size
     fmask = (1 << width) - 1
-    item = _item_bytes(p)
-    raw = _to_fields(mat, item, size)
+    raw = _to_fields(mat, p, size)
     row = n * size
     cols = [int.from_bytes(raw[i * row : (i + 1) * row], "little") for i in range(n)]
     ranks = [n]
@@ -205,7 +182,7 @@ def nilpotent_rank_sequence(mat, n, p):
             count = (w.bit_length() - 1) // width + 1 - piv
             fields = (w >> (width * piv)).to_bytes(count * size, "little")
             acc = 0
-            for c, col in zip(_from_fields(fields, item, size), cols[piv : piv + count]):
+            for c, col in zip(_from_fields(fields, p, size), cols[piv : piv + count]):
                 if c:
                     acc += c * col
             images.append(_reduce(acc, p, m, s, qmask))

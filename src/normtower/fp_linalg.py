@@ -177,13 +177,6 @@ def kernel_basis(a):
     return basis
 
 
-def nilpotent_rank_sequence(a):
-    """Rank sequence [rank(N^0), rank(N^1), ...] ending at 0."""
-    if a.rows != a.cols:
-        raise ValueError("square matrix required")
-    return _kernels.nilpotent_rank_sequence(a.entries, a.rows, a.p)
-
-
 def random_invertible(p, n, rng=None):
     """Uniform-entry sampling with rejection; deterministic under a seeded rng."""
     rng = rng or random.Random(0)

@@ -4,7 +4,9 @@ Every check runs through the shared registry that also backs the
 verify-paper subcommand, with the default seed and exact arithmetic.
 The whole registry runs once per session and every test reads that one
 report; each check draws from its own named generator, so a check's
-record does not depend on which others ran.
+record does not depend on which others ran. That the `only` filter of
+verify-paper --only cNN picks exactly one check is tested with the checks
+stubbed out.
 Run with -v (or -s to see the lines as they print).
 """
 
@@ -28,6 +30,20 @@ def test_acceptance(report, check_id):
     status = "PASS" if record.passed else "FAIL"
     print(f"{status} {record.check_id} {record.name}: {record.detail}")
     assert record.passed, f"{record.check_id} {record.name}: {record.detail}"
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_only_selects_one_check(monkeypatch, check_id):
+    ran = []
+    stubs = tuple(
+        (cid, name, lambda ctx, cid=cid: ran.append(cid) or "stub")
+        for cid, name, _ in verify.CHECKS
+    )
+    monkeypatch.setattr(verify, "CHECKS", stubs)
+    report = verify.run_checks(only=check_id, seed=0)
+    assert [r.check_id for r in report.records] == [check_id]
+    assert ran == [check_id]
+    assert report.passed
 
 
 def test_registry_is_complete_and_sorted(report):

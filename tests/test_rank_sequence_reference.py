@@ -12,9 +12,9 @@ from normtower.fp_linalg import FpMatrix
 
 PRIMES = (2, 3, 5, 7, 251, 4294967311, 2**61 - 1)
 DIMS = range(1, 25)
-# one prime per size of residue the kernel packs: 1, 2, 4 and 8 bytes, and
-# 12 bytes, past every struct item
-ITEM_PRIMES = (251, 257, 65537, 4294967311, 2**89 - 1)
+# primes on both sides of the one-byte residue conversion (251, 257), and
+# generic conversions with residues of 2, 4 and 12 bytes
+PACKING_PRIMES = (251, 257, 65537, 4294967311, 2**89 - 1)
 
 
 def exponent_for(p, dim):
@@ -152,7 +152,7 @@ def test_worst_case_sums():
     # N strictly upper triangular with every entry p - 1, so that the
     # mat-vec sums reach (n - 1)(p - 1)^2, next to the bound the field width
     # is set by. N = (1 - p) J (1 - J)^-1 for the shift J: one Jordan block.
-    for p in (2, 3, 251, 4294967311, 2**61 - 1) + ITEM_PRIMES:
+    for p in (2, 3, 251, 4294967311, 2**61 - 1) + PACKING_PRIMES:
         for n in DIMS:
             mat = [p - 1 if j > i else 0 for i in range(n) for j in range(n)]
             assert assert_agree(mat, n, p) == list(range(n, -1, -1))
@@ -176,15 +176,12 @@ def test_reduce_every_field_value():
 
 def test_field_bytes_round_trip():
     rng = random.Random(15)
-    for p in (2,) + ITEM_PRIMES:
+    for p in (2,) + PACKING_PRIMES:
         for n in (1, 5, 24):
             size = _core_py._layout(n, p)[0]
-            k = _core_py._item_bytes(p)
-            assert (k is None) == (p - 1 >= 2**64)
-            assert k is None or k <= size
             values = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(n)]
-            raw = _core_py._to_fields(values, k, size)
+            raw = _core_py._to_fields(values, p, size)
             assert int.from_bytes(raw, "little") == sum(
                 v << (8 * size * i) for i, v in enumerate(values)
             )
-            assert list(_core_py._from_fields(raw, k, size)) == values
+            assert list(_core_py._from_fields(raw, p, size)) == values
