@@ -1,7 +1,8 @@
 """Command-line surface.
 
 One binary, nine subcommands, deterministic output. Exit codes: 0 success,
-1 usage or parse error, 2 domain verdict, 3 internal invariant violation.
+1 usage or parse error, 2 domain verdict, 3 internal invariant violation
+or any other unexpected exception.
 """
 
 import argparse
@@ -358,6 +359,9 @@ def main(argv=None):
     except (ValueError, KeyError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
+    except Exception as err:
+        sys.stderr.write(f"internal error: {type(err).__name__}: {err}\n")
+        return 3
 
 
 if __name__ == "__main__":

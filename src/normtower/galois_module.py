@@ -390,19 +390,31 @@ def module_to_json(mod):
     return {"p": mod.p, "n": mod.n, "sigma": mod.sigma.to_rows()}
 
 
+MAX_N = 64  # largest n a JSON input may give; shape arithmetic forms p^i for every i <= n
+
+
+def json_int(data, key, what):
+    """data[key], which must be a JSON integer (not a bool, float, string or
+    null), and at most MAX_N for "n"; anything else is a ValueError naming
+    `what`. Module, tower spec and base JSON all read their ints through it."""
+    if key not in data:
+        raise ValueError(f"{what} JSON lacks key {key!r}")
+    value = data[key]
+    if type(value) is not int:
+        raise ValueError(f"{what} JSON {key!r} must be an integer, got {value!r}")
+    if key == "n" and value > MAX_N:
+        raise ValueError(f"{what} JSON 'n' must be at most {MAX_N}, got {value}")
+    return value
+
+
 def module_from_json(data):
-    """The module a CLI JSON file describes. p, n and every entry of sigma
-    must be JSON integers and sigma a non-empty square list of rows;
-    anything else is a ValueError."""
+    """The module a CLI JSON file describes. p and n must pass json_int, and
+    sigma must be a non-empty square list of rows of JSON integers; anything
+    else is a ValueError."""
     if not isinstance(data, dict):
         raise ValueError("module JSON must be an object")
-    for key in ("p", "n", "sigma"):
-        if key not in data:
-            raise ValueError(f"module JSON lacks key {key!r}")
-    for key in ("p", "n"):
-        if type(data[key]) is not int:
-            raise ValueError(f"module JSON {key!r} must be an integer, got {data[key]!r}")
-    sigma = data["sigma"]
+    p, n = json_int(data, "p", "module"), json_int(data, "n", "module")
+    sigma = data.get("sigma")
     if not (
         isinstance(sigma, list)
         and sigma
@@ -413,4 +425,4 @@ def module_from_json(data):
     if list(map(type, entries)).count(int) != len(entries):
         raise ValueError("module JSON 'sigma' entries must be integers")
     d = len(sigma)
-    return GModule(data["p"], data["n"], FpMatrix(data["p"], d, d, entries))
+    return GModule(p, n, FpMatrix(p, d, d, entries))

@@ -9,7 +9,7 @@ ones, and Hilbert symbols for the quartic family over Q.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import galois_module, padic, ufd_norm
 from .errors import (
@@ -37,10 +37,6 @@ class BrauerRowenSpec:
     n: int
     t: int
 
-    @property
-    def variant(self):
-        return "brauer_rowen"
-
 
 @dataclass(frozen=True)
 class FunctionFieldSpec:
@@ -50,10 +46,6 @@ class FunctionFieldSpec:
     p: int
     n: int
     base: RootOfUnityContent
-
-    @property
-    def variant(self):
-        return "function_field"
 
 
 @dataclass(frozen=True)
@@ -65,10 +57,6 @@ class LocalCyclotomicSpec:
     n: int
     q: int
 
-    @property
-    def variant(self):
-        return "local_cyclotomic"
-
 
 @dataclass(frozen=True)
 class LocalKummerSpec:
@@ -77,10 +65,6 @@ class LocalKummerSpec:
     p: int
     n: int
     l: int
-
-    @property
-    def variant(self):
-        return "local_kummer"
 
 
 @dataclass(frozen=True)
@@ -99,10 +83,6 @@ class BiquadraticSpec:
     def n(self):
         return 2
 
-    @property
-    def variant(self):
-        return "biquadratic"
-
 
 @dataclass(frozen=True)
 class MResult:
@@ -119,17 +99,8 @@ def compute_m(spec, precision=None):
 
 
 def explain_m(spec, precision=None):
-    if isinstance(spec, BrauerRowenSpec):
-        return _m_brauer_rowen(spec)
-    if isinstance(spec, FunctionFieldSpec):
-        return _m_function_field(spec)
-    if isinstance(spec, LocalCyclotomicSpec):
-        return _m_local_cyclotomic(spec)
-    if isinstance(spec, LocalKummerSpec):
-        return _m_local_kummer(spec)
-    if isinstance(spec, BiquadraticSpec):
-        return _m_biquadratic(spec, precision or padic.DEFAULT_PRECISION)
-    raise ValueError(f"unknown tower spec {spec!r}")
+    _, compute = _variant(spec)
+    return compute(spec, precision or padic.DEFAULT_PRECISION)
 
 
 def _require(cond, message):
@@ -137,7 +108,7 @@ def _require(cond, message):
         raise InadmissibleSpec(message)
 
 
-def _m_brauer_rowen(spec):
+def _m_brauer_rowen(spec, precision):
     p, n, t = spec.p, spec.n, spec.t
     _require(is_prime(p), f"{p} is not prime")
     _require(n >= 1, "n must be >= 1")
@@ -159,7 +130,7 @@ def _m_brauer_rowen(spec):
     )
 
 
-def _m_function_field(spec):
+def _m_function_field(spec, precision):
     p, n = spec.p, spec.n
     _require(is_prime(p), f"{p} is not prime")
     _require(n >= 1, "n must be >= 1")
@@ -183,7 +154,7 @@ def _m_function_field(spec):
     return MResult(m, tuple(evidence))
 
 
-def _m_local_cyclotomic(spec):
+def _m_local_cyclotomic(spec, precision):
     p, n, q = spec.p, spec.n, spec.q
     _require(is_prime(p), f"{p} is not prime")
     _require(n >= 1, "n must be >= 1")
@@ -205,7 +176,7 @@ def _m_local_cyclotomic(spec):
     )
 
 
-def _m_local_kummer(spec):
+def _m_local_kummer(spec, precision):
     p, n, l = spec.p, spec.n, spec.l
     _require(is_prime(p), f"{p} is not prime")
     _require(is_prime(l), f"{l} is not prime")
@@ -276,6 +247,26 @@ def _m_biquadratic(spec, precision):
         "norm question is not decided here"
     )
     return MResult(UNDETERMINED_LE0, tuple(evidence))
+
+
+# The one place a variant name meets its spec class and compute function;
+# explain_m and the JSON form below are derived from it.
+VARIANTS = {
+    "brauer_rowen": (BrauerRowenSpec, _m_brauer_rowen),
+    "function_field": (FunctionFieldSpec, _m_function_field),
+    "local_cyclotomic": (LocalCyclotomicSpec, _m_local_cyclotomic),
+    "local_kummer": (LocalKummerSpec, _m_local_kummer),
+    "biquadratic": (BiquadraticSpec, _m_biquadratic),
+}
+_BY_SPEC_CLASS = {cls: (name, compute) for name, (cls, compute) in VARIANTS.items()}
+
+
+def _variant(spec):
+    """(variant name, compute function) of a spec instance."""
+    try:
+        return _BY_SPEC_CLASS[type(spec)]
+    except KeyError:
+        raise ValueError(f"unknown tower spec {spec!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -395,39 +386,29 @@ def cross_check_profile(spec, module, precision=None):
 
 
 def spec_to_json(spec):
-    if isinstance(spec, BrauerRowenSpec):
-        return {"variant": "brauer_rowen", "p": spec.p, "n": spec.n, "t": spec.t}
-    if isinstance(spec, FunctionFieldSpec):
-        return {
-            "variant": "function_field",
-            "p": spec.p,
-            "n": spec.n,
-            "base": spec.base.to_json(),
-        }
-    if isinstance(spec, LocalCyclotomicSpec):
-        return {"variant": "local_cyclotomic", "p": spec.p, "n": spec.n, "q": spec.q}
-    if isinstance(spec, LocalKummerSpec):
-        return {"variant": "local_kummer", "p": spec.p, "n": spec.n, "l": spec.l}
-    if isinstance(spec, BiquadraticSpec):
-        return {"variant": "biquadratic", "a": spec.a, "d": spec.d}
-    raise ValueError(f"unknown tower spec {spec!r}")
+    data = {"variant": _variant(spec)[0]}
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        data[field.name] = value.to_json() if field.type is RootOfUnityContent else value
+    return data
 
 
 def spec_from_json(data):
-    try:
-        variant = data["variant"]
-        if variant == "brauer_rowen":
-            return BrauerRowenSpec(data["p"], data["n"], data["t"])
-        if variant == "function_field":
-            return FunctionFieldSpec(
-                data["p"], data["n"], RootOfUnityContent.from_json(data["base"])
-            )
-        if variant == "local_cyclotomic":
-            return LocalCyclotomicSpec(data["p"], data["n"], data["q"])
-        if variant == "local_kummer":
-            return LocalKummerSpec(data["p"], data["n"], data["l"])
-        if variant == "biquadratic":
-            return BiquadraticSpec(data["a"], data["d"])
-    except KeyError as err:
-        raise ValueError(f"tower spec JSON lacks key {err}") from None
-    raise ValueError(f"unknown tower variant {data.get('variant')!r}")
+    """The tower spec a CLI JSON object describes. `variant` names a row of
+    VARIANTS; each field of its spec class must be present, an int field as
+    a JSON integer and a RootOfUnityContent field as its JSON object.
+    Anything else is a ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("tower spec JSON must be an object")
+    variant = data.get("variant")
+    if not (isinstance(variant, str) and variant in VARIANTS):
+        raise ValueError(f"unknown tower variant {variant!r}")
+    cls = VARIANTS[variant][0]
+    return cls(
+        **{
+            field.name: RootOfUnityContent.from_json(data.get(field.name))
+            if field.type is RootOfUnityContent
+            else galois_module.json_int(data, field.name, "tower spec")
+            for field in fields(cls)
+        }
+    )

@@ -337,12 +337,6 @@ class QuaternionReport:
     splits: bool
     ramified: tuple
 
-    def symbol_at(self, place):
-        for pl, s in self.symbols:
-            if pl == place:
-                return s
-        return 1
-
 
 def quaternion_splits_Q(a, b):
     """Hilbert symbols of (a, b) over Q at every place that can ramify.

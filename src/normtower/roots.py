@@ -7,6 +7,7 @@ unity present. Two encodings: a cyclotomic field by its conductor
 
 from dataclasses import dataclass
 
+from .galois_module import json_int
 from .numtheory import factorize, valuation
 
 
@@ -57,23 +58,23 @@ class RootOfUnityContent:
             return k
         return valuation(self.value - 1, p) if (self.value - 1) % p == 0 else 0
 
-    def has_root(self, p, k):
-        return k <= self.max_power(p)
-
     def describe(self):
         if self.kind == "cyclotomic":
             return f"Q(xi_{self.value})" if self.value > 1 else "Q"
         return f"F_{self.value}"
 
     def to_json(self):
-        if self.kind == "cyclotomic":
-            return {"kind": "cyclotomic", "conductor": self.value}
-        return {"kind": "finite_field", "order": self.value}
+        return {"kind": self.kind, _VALUE_KEYS[self.kind]: self.value}
 
     @classmethod
     def from_json(cls, data):
-        if data.get("kind") == "cyclotomic":
-            return cls.cyclotomic(data["conductor"])
-        if data.get("kind") == "finite_field":
-            return cls.finite_field(data["order"])
-        raise ValueError(f"unknown root content {data!r}")
+        """Strict: an object whose kind is "cyclotomic" with an integer
+        conductor, or "finite_field" with an integer order."""
+        kind = data.get("kind") if isinstance(data, dict) else None
+        if kind not in ("cyclotomic", "finite_field"):
+            raise ValueError(f"base must be a cyclotomic or finite_field object, got {data!r}")
+        value = json_int(data, _VALUE_KEYS[kind], "base")
+        return cls.cyclotomic(value) if kind == "cyclotomic" else cls.finite_field(value)
+
+
+_VALUE_KEYS = {"cyclotomic": "conductor", "finite_field": "order"}

@@ -10,9 +10,16 @@ stubbed out.
 Run with -v (or -s to see the lines as they print).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from normtower import verify
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 CHECK_IDS = [check_id for check_id, _, _ in verify.CHECKS]
 
@@ -51,3 +58,22 @@ def test_registry_is_complete_and_sorted(report):
     assert CHECK_IDS == sorted(CHECK_IDS)
     assert [r.check_id for r in report.records] == CHECK_IDS
     assert report.passed
+
+
+def test_checks_fail_under_python_O():
+    # python -O strips assert statements; a check must still fail there
+    script = (
+        "from normtower import m_invariant, verify\n"
+        "assert False, 'not running under -O'\n"
+        "m_invariant.compute_m = lambda spec, precision=None: 42\n"
+        "record, = verify.run_checks(only='c03').records\n"
+        "print(record.check_id, record.passed, record.detail)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        check=True,
+    )
+    assert proc.stdout == "c03 False AssertionError: \n"

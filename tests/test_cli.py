@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from normtower import cli
 from normtower.cli import main
 
@@ -134,6 +136,7 @@ def test_decompose_rejects_malformed_module_json(capsys, tmp_path):
         ({"p": 3, "n": 1, "sigma": [[1, 1, 0], [0, 1, 0]]}, "square"),
         ({"p": 3, "n": 1, "sigma": [1, 1]}, "square"),
         ([[1, 1], [0, 1]], "object"),
+        ({"p": 3, "n": 65, "sigma": [[1, 1], [0, 1]]}, "at most 64"),
     )
     for payload, needle in cases:
         module_file = tmp_path / "mod.json"
@@ -143,6 +146,52 @@ def test_decompose_rejects_malformed_module_json(capsys, tmp_path):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert needle in err, (payload, err)
+
+
+@pytest.mark.parametrize(
+    "payload, needle",
+    [
+        ({"variant": "biquadratic", "a": "17", "d": -1}, "'a'"),
+        ({"variant": "local_cyclotomic", "p": 3, "n": 1, "q": None}, "'q'"),
+        ({"variant": "function_field", "p": 2, "n": 2, "base": 5}, "base"),
+        (["biquadratic", 17, -1], "object"),
+        (
+            {
+                "variant": "function_field",
+                "p": 2,
+                "n": 2,
+                "base": {"kind": "cyclotomic", "conductor": "8"},
+            },
+            "'conductor'",
+        ),
+        ({"variant": "brauer_rowen", "p": 2.0, "n": 3, "t": 1}, "'p'"),
+        ({"variant": "brauer_rowen", "p": 2, "n": 200000, "t": 1}, "at most 64"),
+        ({"variant": "brauer_rowen", "p": True, "n": 3, "t": 1}, "'p'"),
+        ({"variant": "quintic", "p": 5, "n": 1}, "unknown tower variant"),
+        ({"variant": "brauer_rowen", "p": 2, "n": 65, "t": 1}, "at most 64"),
+    ],
+    ids=[
+        "a-string",
+        "q-null",
+        "base-int",
+        "spec-list",
+        "conductor-string",
+        "p-float",
+        "n-200000",
+        "p-bool",
+        "unknown-variant",
+        "n-65",
+    ],
+)
+def test_m_compute_rejects_malformed_spec_json(capsys, tmp_path, payload, needle):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "m-compute", "--spec", str(spec_file))
+    assert code == 1, payload
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert needle in err, (payload, err)
 
 
 def test_main_repeats_like_fresh_processes(capsys):
@@ -284,6 +333,16 @@ def test_internal_invariant_violation_exits_3(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "m-compute", "--spec", str(spec))
     assert code == 3
     assert "certificate oracles disagree" in err
+
+    def type_error(spec, precision=None):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli.m_invariant, "explain_m", type_error)
+    code, out, err = run(capsys, "m-compute", "--spec", str(spec))
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: TypeError: unsupported operand\n"
+    assert "Traceback" not in err
 
 
 def test_output_is_deterministic(capsys):
