@@ -141,9 +141,8 @@ def _cmd_hilbert(args):
 
 def _cmd_cocycle_check(args):
     a, b, r = args.a, args.b, args.r
-    psi = cohomology.carrying_cocycle(a, b, r)
-    phi = cohomology.scale_cocycle(cohomology.carrying_cocycle(a, a, r), a // b)
     witness = cohomology.extension_isomorphism(a, b, r)
+    psi, phi = witness.target.cocycle, witness.source.cocycle
     inv_psi = cohomology.h2_invariant(psi)
     inv_phi = cohomology.h2_invariant(phi)
     if inv_psi != inv_phi:

@@ -10,6 +10,7 @@ exposed as exact integer identities.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import cohomology
 from .errors import (
@@ -129,6 +130,9 @@ def find_irreducible(l, k):
     raise InternalCheckError(f"no irreducible of degree {k} over F_{l}")
 
 
+MAX_FIELD_ORDER = 10**5  # largest l^k built: the modulus and norm searches scan F_{l^k}
+
+
 class FiniteField:
     """F_{l^k} as F_l[x]/(f); elements are base-l digit encodings."""
 
@@ -137,6 +141,10 @@ class FiniteField:
             raise ValueError(f"{l} is not prime")
         if k < 1:
             raise ValueError("degree must be >= 1")
+        # before the modulus search; l^k >= 2^(k (bitlen(l) - 1)) and 2^17 >
+        # MAX_FIELD_ORDER, so a huge k is refused without forming l^k
+        if k * (l.bit_length() - 1) > 16 or l**k > MAX_FIELD_ORDER:
+            raise SearchSpaceTooLarge(f"|L| = {l}^{k} > {MAX_FIELD_ORDER}")
         self.l = l
         self.k = k
         self.order = l**k
@@ -361,12 +369,11 @@ def is_invertible(x):
 # ---------------------------------------------------------------------------
 
 
-def solve_norm(tower, b, limit=10**5):
-    """First w in encoding order with N_{L/E}(w) = b (norms are onto E^x)."""
+def solve_norm(tower, b):
+    """First w in encoding order with N_{L/E}(w) = b (norms are onto E^x);
+    FiniteField bounds the scan by MAX_FIELD_ORDER."""
     if b == 0 or not tower.is_in_base(b):
         raise ValueError("b must be a nonzero element of the base field")
-    if tower.field.order > limit:
-        raise SearchSpaceTooLarge(f"|L| = {tower.field.order} > {limit}")
     for w in range(1, tower.field.order):
         if tower.norm(w) == b:
             return w
@@ -391,16 +398,17 @@ def split_certificate(tower, b):
     constructed element.
     """
     w = solve_norm(tower, b)
-    candidates = [w]
+    twists = ()
     if tower.field.order <= 10**4:
-        # norm-kernel twists, kept for the degenerate-retry contract
-        candidates += [
+        # norm-kernel twists, kept for the degenerate-retry contract and
+        # computed only once a candidate has degenerated
+        twists = (
             tower.field.mul(w, e)
             for e in range(2, tower.field.order)
             if tower.norm(e) == 1
-        ]
+        )
     last_error = None
-    for cand in candidates:
+    for cand in chain((w,), twists):
         try:
             return _certificate_from_preimage(tower, b, cand)
         except DegenerateWitness as err:
@@ -499,11 +507,9 @@ def restriction_consistency(a, b_div, r, q=None):
         q = expected_q
     elif q != expected_q:
         raise ValueError(f"q must equal a / b_div = {expected_q}")
-    psi = cohomology.carrying_cocycle(a, b_div, r)
-    phi = cohomology.scale_cocycle(cohomology.carrying_cocycle(a, a, r), q)
-    inv_psi = cohomology.h2_invariant(psi)
-    inv_phi = cohomology.h2_invariant(phi)
-    cohomology.extension_isomorphism(a, b_div, r)  # raises if not verified
+    witness = cohomology.extension_isomorphism(a, b_div, r)  # raises if not verified
+    inv_psi = cohomology.h2_invariant(witness.target.cocycle)
+    inv_phi = cohomology.h2_invariant(witness.source.cocycle)
     return RestrictionVerdict(
         a, b_div, r, q, inv_psi, consistent=(inv_psi == inv_phi)
     )

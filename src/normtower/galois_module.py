@@ -390,7 +390,8 @@ def module_to_json(mod):
     return {"p": mod.p, "n": mod.n, "sigma": mod.sigma.to_rows()}
 
 
-MAX_N = 64  # largest n a JSON input may give; shape arithmetic forms p^i for every i <= n
+# largest n a JSON input or find-prime may give; shape arithmetic forms p^i for every i <= n
+MAX_N = 64
 
 
 def json_int(data, key, what):

@@ -275,9 +275,11 @@ def _variant(spec):
 
 
 def find_dirichlet_prime(p, n, limit=10**6):
-    """Smallest prime q with q = 1 + p^n mod p^(n+1)."""
+    """Smallest prime q with q = 1 + p^n mod p^(n+1); n is at most MAX_N."""
     if not is_prime(p) or n < 1:
         raise ValueError("p must be prime and n >= 1")
+    if n > galois_module.MAX_N:
+        raise ValueError(f"n must be at most {galois_module.MAX_N}, got {n}")
     start = 1 + p**n
     if limit < start:
         raise ValueError(f"limit {limit} is below 1 + p^n = {start}")

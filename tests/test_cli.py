@@ -297,6 +297,44 @@ def test_algebra_certificate(capsys):
     assert code == 1
 
 
+def test_algebra_heavy_towers_frozen(capsys):
+    # every base unit b of the towers the benchmark's heavy algebra slots use
+    cases = json.loads((Path(__file__).parent / "algebra_heavy_payloads.json").read_text())
+    assert len(cases) == 4 + 8 + 31 + 1
+    for case in cases:
+        code, out, err = run(capsys, "algebra", *case["argv"], "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == case["payload"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cocycle-check", "--a", "1000", "--b", "10", "--r", "1000"], "a = 1000 > 400"),
+        (["cocycle-check", "--a", "400", "--b", "10", "--r", "401"], "a * r = 400 * 401 > 160000"),
+        (["cocycle-check", "--a", "10", "--b", "1", "--r", str(10**50)], "a * r"),
+        (["algebra", "--l", "2", "--d", "100", "--r", "2", "--b", "1"], "|L| = 2^200 > 100000"),
+        (["algebra", "--l", "2", "--d", "30", "--r", "3", "--b", "1"], "|L| = 2^90 > 100000"),
+        (["algebra", "--l", "2", "--d", str(10**12), "--r", "2", "--b", "1"], "|L| = 2^"),
+    ],
+)
+def test_search_guards_exit_2_in_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("SearchSpaceTooLarge: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_bad_cocycle_and_prime_arguments_exit_1(capsys):
+    code, _, err = run(capsys, "cocycle-check", "--a", "2", "--b", "1", "--r", "0")
+    assert (code, err) == (1, "error: a and r must be positive\n")
+    for n in (65, 100000):
+        code, out, err = run(capsys, "find-prime", "--p", "2", "--n", str(n))
+        assert (code, out, err) == (1, "", f"error: n must be at most 64, got {n}\n")
+    code, out, _ = run(capsys, "find-prime", "--p", "2", "--n", "64", "--limit", str(2**74))
+    assert (code, out) == (0, "461168601842738790401\n")  # 25 * 2^64 + 1
+
+
 def test_ufd_check(capsys):
     code, out, _ = run(
         capsys, "ufd-check", "--l", "3", "--n", "2", "--deg", "2", "--format", "json"
