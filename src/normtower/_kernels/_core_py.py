@@ -4,6 +4,8 @@ Flat row-major lists of ints in [0, p). Same signatures as the compiled
 module; _kernels/__init__ picks whichever is available.
 """
 
+from ..packing import from_fields, layout, reduce, to_fields
+
 BACKEND = "python"
 
 
@@ -84,50 +86,6 @@ def rank(mat, rows, cols, p):
     return r
 
 
-def _layout(n, p):
-    """(size, s, m, qmask): how nilpotent_rank_sequence packs n residues mod p.
-
-    Every sum it leaves unreduced is below 2^h, h being the bit length of
-    n (p - 1)^2 + p. With s = h + bitlen(p - 1) and m = ceil(2^s / p),
-    floor(x m / 2^s) = floor(x / p) for every x < 2^h (Granlund and
-    Montgomery, PLDI 1994). A field of h + bitlen(m) bits holds x m, so no
-    field carries into the next; it is rounded up to `size` whole bytes so
-    that vectors convert to and from bytes in C. qmask has the low
-    8 size - s bits of every field set: after the shift by s, those hold
-    the field's own quotient.
-    """
-    h = (n * (p - 1) ** 2 + p).bit_length()
-    s = h + (p - 1).bit_length()
-    m = -(-(1 << s) // p)
-    size = -(-(h + m.bit_length()) // 8)
-    ones = int.from_bytes(b"\x01".ljust(size, b"\x00") * n, "little")
-    return size, s, m, ((1 << (8 * size - s)) - 1) * ones
-
-
-def _reduce(x, p, m, s, qmask):
-    """x with every field, each below 2^h, reduced mod p at once."""
-    return x - p * (((x * m) >> s) & qmask)
-
-
-def _to_fields(values, p, size):
-    """Little-endian bytes with one `size`-byte field per residue mod p."""
-    if p > 256:
-        return b"".join(x.to_bytes(size, "little") for x in values)
-    raw = bytes(values)
-    if size == 1:
-        return raw
-    spread = bytearray(len(raw) * size)
-    spread[::size] = raw
-    return spread
-
-
-def _from_fields(raw, p, size):
-    """Inverse of _to_fields: the values of the fields of raw."""
-    if p > 256:
-        return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-    return raw[::size]
-
-
 def nilpotent_rank_sequence(mat, n, p):
     """[rank(N^0), rank(N^1), ...] down to 0 for a nilpotent n x n matrix N.
 
@@ -137,22 +95,22 @@ def nilpotent_rank_sequence(mat, n, p):
     It runs on the transpose, whose powers have the same ranks, because
     the columns of N^T are the rows of N, contiguous in `mat`.
 
-    A vector is one Python int with one field per coordinate (_layout),
+    A vector is one Python int with one field per coordinate (packing.layout),
     so each operation is a few big-int operations in C rather than a
     Python loop over entries, as in Dumas, Fousse and Salvy (J. Symb.
     Comput. 46(7), 2011):
     - pivot: the least nonzero field, read off the lowest set bit;
     - row step: v + ((p - c) / c_w mod p) w, c and c_w the pivot fields of
-      v and of the kept w, then one _reduce of all fields;
+      v and of the kept w, then one packing.reduce of all fields;
     - mat-vec: N^T b is the sum of c_j times column j over the nonzero
       fields c_j of b, read from its bytes between its first and last
       nonzero field, so a sparse b costs little.
     Raises ValueError if N is not nilpotent.
     """
-    size, s, m, qmask = _layout(n, p)
+    size, s, m, qmask = layout(n, p)
     width = 8 * size
     fmask = (1 << width) - 1
-    raw = _to_fields(mat, p, size)
+    raw = to_fields(mat, p, size)
     row = n * size
     cols = [int.from_bytes(raw[i * row : (i + 1) * row], "little") for i in range(n)]
     ranks = [n]
@@ -170,7 +128,7 @@ def nilpotent_rank_sequence(mat, n, p):
                     basis[piv] = (v, pow(c, -1, p))
                     break
                 w, inv = kept
-                v = _reduce(v + (p - c) * inv % p * w, p, m, s, qmask)
+                v = reduce(v + (p - c) * inv % p * w, p, m, s, qmask)
         r = len(basis)
         ranks.append(r)
         if r == 0:
@@ -182,7 +140,7 @@ def nilpotent_rank_sequence(mat, n, p):
             count = (w.bit_length() - 1) // width + 1 - piv
             fields = (w >> (width * piv)).to_bytes(count * size, "little")
             acc = 0
-            for c, col in zip(_from_fields(fields, p, size), cols[piv : piv + count]):
+            for c, col in zip(from_fields(fields, p, size), cols[piv : piv + count]):
                 if c:
                     acc += c * col
-            images.append(_reduce(acc, p, m, s, qmask))
+            images.append(reduce(acc, p, m, s, qmask))

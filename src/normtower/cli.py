@@ -111,8 +111,16 @@ def _cmd_find_prime(args):
     return 0
 
 
+def _parse_rational(text):
+    """A command-line rational; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 def _cmd_hilbert(args):
-    a, b = Fraction(args.a), Fraction(args.b)
+    a, b = _parse_rational(args.a), _parse_rational(args.b)
     if args.place == "all":
         report = padic.quaternion_splits_Q(a, b)
         payload = {
@@ -142,21 +150,21 @@ def _cmd_hilbert(args):
 def _cmd_cocycle_check(args):
     a, b, r = args.a, args.b, args.r
     witness = cohomology.extension_isomorphism(a, b, r)
-    psi, phi = witness.target.cocycle, witness.source.cocycle
-    inv_psi = cohomology.h2_invariant(psi)
-    inv_phi = cohomology.h2_invariant(phi)
+    # each ExtensionGroup checked its cocycle once, when the witness built it
+    inv_psi, inv_phi = witness.target.invariant(), witness.source.invariant()
     if inv_psi != inv_phi:
         raise InternalCheckError("isomorphic extensions with different invariants")
+    abelian = witness.target.is_abelian()
     payload = {
         "a": a,
         "b": b,
         "r": r,
         "q": witness.q,
-        "cocycle_block": cohomology.is_cocycle(psi),
-        "cocycle_scaled": cohomology.is_cocycle(phi),
+        "cocycle_block": True,
+        "cocycle_scaled": True,
         "invariant": inv_psi,
         "isomorphic": True,
-        "group_abelian": witness.target.is_abelian(),
+        "group_abelian": abelian,
         "group_order": witness.target.order,
     }
     lines = [
@@ -165,7 +173,7 @@ def _cmd_cocycle_check(args):
         f"shared class invariant mod gcd(a, r): {inv_psi}",
         f"extensions isomorphic via (m, i) -> (m + i/b, i): yes "
         f"(order {witness.target.order}, "
-        f"{'abelian' if witness.target.is_abelian() else 'nonabelian'})",
+        f"{'abelian' if abelian else 'nonabelian'})",
     ]
     _emit(args, payload, lines)
     return 0

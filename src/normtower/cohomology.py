@@ -145,6 +145,10 @@ class ExtensionGroup:
     def element_orders(self):
         return tuple(sorted(self.order_of(x) for x in self.elements))
 
+    def invariant(self):
+        """h2_invariant of the cocycle, which construction already checked."""
+        return _column_invariant(self.cocycle)
+
     def is_abelian(self):
         c = self.cocycle
         return all(
@@ -303,6 +307,10 @@ def h2_invariant(c):
     """
     if not is_cocycle(c):
         raise NotACocycle("invariant of a non-cocycle is undefined")
+    return _column_invariant(c)
+
+
+def _column_invariant(c):
     d = gcd(c.a, c.r)
     return sum(c.table[i][1 % c.a] for i in range(c.a)) % d if d > 1 else 0
 

@@ -11,8 +11,9 @@ exposed as exact integer identities.
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import mul
 
-from . import cohomology
+from . import cohomology, packing
 from .errors import (
     DegenerateWitness,
     InternalCheckError,
@@ -23,29 +24,6 @@ from .numtheory import is_prime
 # ---------------------------------------------------------------------------
 # finite fields F_{l^k}, elements encoded as integers in [0, l^k)
 # ---------------------------------------------------------------------------
-
-
-def _poly_mul(a, b, l):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % l
-    return out
-
-
-def _poly_mod(a, f, l):
-    # f monic, little-endian, degree k; reduce a in place
-    a = list(a)
-    k = len(f) - 1
-    for i in range(len(a) - 1, k - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j in range(k):
-                a[i - k + j] = (a[i - k + j] - c * f[j]) % l
-    return a[:k] + [0] * (k - len(a))
 
 
 def _strip(a):
@@ -78,17 +56,6 @@ def _poly_gcd(a, b, l):
     return a
 
 
-def _poly_powmod(base, e, f, l):
-    result = [1]
-    base = _poly_mod(base, f, l)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, l), f, l)
-        base = _poly_mod(_poly_mul(base, base, l), f, l)
-        e >>= 1
-    return result
-
-
 def _prime_divisors(k):
     out = []
     d = 2
@@ -103,19 +70,102 @@ def _prime_divisors(k):
     return out
 
 
+class _Quotient:
+    """F_l[x]/(f) for a monic f = (f_0, ..., f_(k-1), 1) of degree k >= 1.
+
+    An element is encoded as sum c_i l^i; inside, it is packed as
+    sum c_i 2^(w i), one packing field per coefficient. A product is then
+    one big-int multiply (Kronecker substitution): field t of the product
+    holds sum_(i+j=t) a_i b_j, at most k products, so one packing.reduce
+    brings all 2k - 1 fields below l. The top k - 1 fields c_(k+t) fold in
+    as c_(k+t) (x^(k+t) mod f), k - 1 more products per field, and a
+    second reduce.
+    """
+
+    def __init__(self, l, modulus):
+        k = len(modulus) - 1
+        self.l = l
+        self.k = k
+        self.modulus = tuple(modulus)
+        self._size, self._s, self._m, self._qmask = packing.layout(k, l, 2 * k - 1)
+        self._top = 8 * self._size * k
+        self._low = (1 << self._top) - 1
+        self._ls = sum(l << (8 * self._size * i) for i in range(k))  # l in every field
+        self._lpows = [l**i for i in range(k)]
+        # x^(k+t) mod f for t < k - 1, from x^k = -(f_0 + ... + f_(k-1) x^(k-1))
+        folds, power = [], [-c % l for c in modulus[:k]]
+        for _ in range(k - 1):
+            folds.append(self._pack_digits(power))
+            top = power[-1]
+            power = [(low - top * c) % l for low, c in zip([0] + power[:-1], modulus)]
+        self._folds = folds
+
+    def _digits(self, e):
+        """The k base-l digits of e mod l^k, low first."""
+        l, out = self.l, []
+        for _ in range(self.k):
+            e, c = divmod(e, l)
+            out.append(c)
+        return out
+
+    def _pack_digits(self, digits):
+        return int.from_bytes(packing.to_fields(digits, self.l, self._size), "little")
+
+    def _pack(self, e):
+        return self._pack_digits(self._digits(e))
+
+    def _unpack(self, v):
+        """The encoding of a packed element whose k fields are below l."""
+        raw = v.to_bytes(self._top // 8, "little")
+        return sum(map(mul, packing.from_fields(raw, self.l, self._size), self._lpows))
+
+    def _reduce(self, v):
+        return packing.reduce(v, self.l, self._m, self._s, self._qmask)
+
+    def _mul_packed(self, u, v):
+        v = self._reduce(u * v)
+        high = v >> self._top
+        if high:
+            raw = high.to_bytes(self._top // 8, "little")
+            folded = sum(map(mul, packing.from_fields(raw, self.l, self._size), self._folds))
+            v = self._reduce((v & self._low) + folded)
+        return v
+
+    def add(self, a, b):
+        return self._unpack(self._reduce(self._pack(a) + self._pack(b)))
+
+    def sub(self, a, b):
+        return self._unpack(self._reduce(self._pack(a) + self._ls - self._pack(b)))
+
+    def mul(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        return self._unpack(self._mul_packed(self._pack(a), self._pack(b)))
+
+    def pow(self, a, e):
+        """a^e for e >= 0, squaring on the packed form."""
+        result, base = 1, self._pack(a)
+        while e:
+            if e & 1:
+                result = self._mul_packed(result, base)
+            e >>= 1
+            if e:
+                base = self._mul_packed(base, base)
+        return self._unpack(result)
+
+
 def _is_irreducible(f, l):
     # f monic little-endian of degree k; x^(l^k) = x mod f and, for each
-    # prime t | k, gcd(x^(l^(k/t)) - x, f) constant
+    # prime t | k, gcd(x^(l^(k/t)) - x, f) constant. x is encoded as l.
     k = len(f) - 1
     if k == 1:
         return True
-    x = [0, 1]
-    if _strip(_poly_powmod(x, l**k, f, l)) != x:
+    ring = _Quotient(l, f)
+    if ring.pow(l, l**k) != l:
         return False
     for t in _prime_divisors(k):
-        h = _poly_powmod(x, l ** (k // t), f, l)
-        diff = [(c - d) % l for c, d in zip(h + [0, 0], x + [0] * len(h))]
-        if len(_poly_gcd(f, diff, l)) != 1:
+        diff = ring.sub(ring.pow(l, l ** (k // t)), l)
+        if len(_poly_gcd(f, ring._digits(diff), l)) != 1:
             return False
     return True
 
@@ -133,8 +183,8 @@ def find_irreducible(l, k):
 MAX_FIELD_ORDER = 10**5  # largest l^k built: the modulus and norm searches scan F_{l^k}
 
 
-class FiniteField:
-    """F_{l^k} as F_l[x]/(f); elements are base-l digit encodings."""
+class FiniteField(_Quotient):
+    """F_{l^k} as F_l[x]/(f); elements are base-l digit encodings in [0, l^k)."""
 
     def __init__(self, l, k):
         if not is_prime(l):
@@ -145,43 +195,15 @@ class FiniteField:
         # MAX_FIELD_ORDER, so a huge k is refused without forming l^k
         if k * (l.bit_length() - 1) > 16 or l**k > MAX_FIELD_ORDER:
             raise SearchSpaceTooLarge(f"|L| = {l}^{k} > {MAX_FIELD_ORDER}")
-        self.l = l
-        self.k = k
+        super().__init__(l, find_irreducible(l, k) if k > 1 else (0, 1))
         self.order = l**k
-        self.modulus = find_irreducible(l, k) if k > 1 else (0, 1)
-
-    def decode(self, e):
-        return [(e // self.l**i) % self.l for i in range(self.k)]
-
-    def encode(self, coeffs):
-        return sum(c % self.l * self.l**i for i, c in enumerate(coeffs[: self.k]))
-
-    def add(self, a, b):
-        return self.encode(
-            [(x + y) % self.l for x, y in zip(self.decode(a), self.decode(b))]
-        )
-
-    def sub(self, a, b):
-        return self.encode(
-            [(x - y) % self.l for x, y in zip(self.decode(a), self.decode(b))]
-        )
-
-    def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        prod = _poly_mul(self.decode(a), self.decode(b), self.l)
-        return self.encode(_poly_mod(prod, list(self.modulus), self.l))
+        # t in 0..k-1 -> packed images of 1, x, ..., x^(k-1) under Frobenius^t
+        self._frobenius = {0: [1 << (8 * self._size * i) for i in range(k)]}
 
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return super().pow(a, e)
 
     def inv(self, a):
         if a == 0:
@@ -189,7 +211,25 @@ class FiniteField:
         return self.pow(a, self.order - 2)
 
     def frobenius(self, a, times=1):
-        return self.pow(a, self.l**times)
+        """a^(l^times); F_l is fixed."""
+        if 0 <= a < self.l:
+            return a
+        return self._unpack(self._frobenius_packed(self._digits(a), times))
+
+    def _frobenius_packed(self, digits, times):
+        """Packed a^(l^times) from the base-l digits of a. The map is
+        F_l-linear of order k, so with t = times mod k it sends sum c_i x^i
+        to sum c_i (x^i)^(l^t): k multiply-adds on the packed images of the
+        power basis, built once per t."""
+        t = times % self.k
+        images = self._frobenius.get(t)
+        if images is None:
+            xt = self._pack(self.pow(self.l, self.l**t))
+            images = [1]
+            for _ in range(self.k - 1):
+                images.append(self._mul_packed(images[-1], xt))
+            self._frobenius[t] = images
+        return self._reduce(sum(map(mul, digits, images)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +257,12 @@ class FiniteFieldTower:
         return self.tau(e) == e
 
     def norm(self, e):
+        f = self.field
+        digits = f._digits(e)
         out = 1
         for j in range(self.r):
-            out = self.field.mul(out, self.tau(e, j))
-        return out
+            out = f._mul_packed(out, f._frobenius_packed(digits, self.d * j))
+        return f._unpack(out)
 
     def base_elements(self):
         return [e for e in range(self.field.order) if self.is_in_base(e)]
@@ -284,23 +326,31 @@ def ca_sub(x, y):
 
 
 def ca_mul(x, y):
-    """(u^i c)(u^j d) = u^(i+j) tau^j(c) d, with u^r = b folding the wrap."""
+    """(u^i c)(u^j d) = u^(i+j) tau^j(c) d, with u^r = b folding the wrap.
+
+    Runs on packed field elements. A slot sums at most r <= k reduced
+    products, within the bound packing.layout sizes the fields for, so it
+    is reduced once at the end.
+    """
     _check_same_algebra(x, y)
     tower, f, r = x.tower, x.tower.field, x.tower.r
+    ds = [f._pack(d) for d in y.coeffs]
+    b = f._pack(x.b)
     out = [0] * r
     for i, c in enumerate(x.coeffs):
         if c == 0:
             continue
-        for j, d in enumerate(y.coeffs):
+        digits = f._digits(c)
+        for j, d in enumerate(ds):
             if d == 0:
                 continue
-            val = f.mul(tower.tau(c, j), d)
+            val = f._mul_packed(f._frobenius_packed(digits, tower.d * j), d)
             idx = i + j
             if idx >= r:
                 idx -= r
-                val = f.mul(val, x.b)
-            out[idx] = f.add(out[idx], val)
-    return AlgebraElement(tower, x.b, tuple(out))
+                val = f._mul_packed(val, b)
+            out[idx] += val
+    return AlgebraElement(tower, x.b, tuple(f._unpack(f._reduce(v)) for v in out))
 
 
 def ca_pow(x, e):
@@ -508,8 +558,8 @@ def restriction_consistency(a, b_div, r, q=None):
     elif q != expected_q:
         raise ValueError(f"q must equal a / b_div = {expected_q}")
     witness = cohomology.extension_isomorphism(a, b_div, r)  # raises if not verified
-    inv_psi = cohomology.h2_invariant(witness.target.cocycle)
-    inv_phi = cohomology.h2_invariant(witness.source.cocycle)
+    inv_psi = witness.target.invariant()
+    inv_phi = witness.source.invariant()
     return RestrictionVerdict(
         a, b_div, r, q, inv_psi, consistent=(inv_psi == inv_phi)
     )

@@ -158,11 +158,8 @@ def _m_local_cyclotomic(spec, precision):
     p, n, q = spec.p, spec.n, spec.q
     _require(is_prime(p), f"{p} is not prime")
     _require(n >= 1, "n must be >= 1")
-    member = residue_norm_test(p, n, q)
-    if member:
-        return MResult(
-            NEG_INF, (f"some element of order {p} is a p^n-th power mod {q}",)
-        )
+    if residue_norm_test(p, n, q):
+        raise InternalCheckError(f"v_{p}(q - 1) = {n} but (q-1)/p^n is divisible by {p}")
     cofactor = (q - 1) // p**n
     return MResult(
         0,
@@ -294,22 +291,19 @@ def find_dirichlet_prime(p, n, limit=10**6):
     )
 
 
-def residue_norm_test(p, n, q, exhaustive_bound=200000):
+def residue_norm_test(p, n, q):
     """Whether some element of order p in F_q^x is a p^n-th power.
 
-    Small q: exhaust the group. Large q: the p^n-th powers form the
-    subgroup of order (q-1)/p^n, which contains an order-p element iff p
-    divides that cofactor.
+    The p^n-th powers form the subgroup of order (q-1)/p^n of the cyclic
+    group F_q^x, which holds an element of order p iff p divides that
+    order. The precondition q = 1 + p^n mod p^(n+1) makes v_p(q - 1) = n,
+    so (q-1)/p^n = 1 mod p and the answer is always False.
     """
     _require(is_prime(q), f"q = {q} is not prime")
     _require(
         q % p ** (n + 1) == (1 + p**n) % p ** (n + 1),
         f"q = {q} is not 1 + {p}^{n} mod {p}^{n + 1}",
     )
-    if q <= exhaustive_bound:
-        powers = {pow(x, p**n, q) for x in range(1, q)}
-        order_p = {x for x in range(2, q) if pow(x, p, q) == 1}
-        return bool(order_p & powers)
     return (q - 1) // p**n % p == 0
 
 

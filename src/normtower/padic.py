@@ -235,6 +235,12 @@ def _norm_place(place):
     raise ValueError(f"place must be a prime or 'inf', got {place!r}")
 
 
+def _rational(x):
+    """x as an exact rational: ints and Fractions as they are, since both
+    carry numerator and denominator, anything else through Fraction."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def _local_data(x, p, digits):
     """(valuation, unit mod p^digits) of a nonzero rational or p-adic x."""
     if isinstance(x, PadicNumber):
@@ -243,13 +249,17 @@ def _local_data(x, p, digits):
         if x.is_zero:
             raise ValueError("Hilbert symbol of zero")
         return x.valuation, x.residue_unit(digits)
-    f = Fraction(x)
-    if f == 0:
+    x = _rational(x)
+    num, den = x.numerator, x.denominator
+    if num == 0:
         raise ValueError("Hilbert symbol of zero")
-    num, den = f.numerator, f.denominator
-    v = valuation(num, p) - valuation(den, p)
-    num //= p ** max(valuation(num, p), 0)
-    den //= p ** max(valuation(den, p), 0)
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
     pk = p**digits
     return v, num * pow(den, -1, pk) % pk
 
@@ -269,7 +279,7 @@ def hilbert_symbol(a, b, place):
         for x in (a, b):
             if isinstance(x, PadicNumber):
                 raise ValueError("p-adic numbers carry no sign at the real place")
-        return -1 if Fraction(a) < 0 and Fraction(b) < 0 else 1
+        return -1 if _rational(a) < 0 and _rational(b) < 0 else 1
     p = place
     if p == 2:
         alpha, u = _local_data(a, 2, 3)

@@ -1,239 +1,21 @@
-"""Multivariate polynomials over F_l with a cyclic shift action, and the
-bounded verification that unit-valued orbit norms are exactly n-th powers.
+"""The bounded verification that unit-valued orbit norms of rational
+functions over F_l are exactly n-th powers, and the norm chain through
+root-of-unity content.
 
-Polynomials are dicts {exponent tuple: coefficient}; the action sends
-mu_i to mu_(i+step) cyclically with step = g/n, so it has order n. The
-orbit norm of w is the product of its n shifts; when that norm lands in
-F_l^x the claim is that it is an n-th power there, and the check
+The cyclic action sends mu_i to mu_(i+step), step = g/n, so it has order
+n. The orbit norm of w is the product of its n shifts; when that norm
+lands in F_l^x the claim is that it is an n-th power there, and the check
 enumerates every rational function within a degree bound to confirm it.
 """
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
+from . import packing
 from .errors import InternalCheckError, MissingRootOfUnity, SearchSpaceTooLarge
 from .mvalue import NEG_INF
 from .numtheory import is_prime
-
-# ---------------------------------------------------------------------------
-# polynomial arithmetic (dict of exponent-tuple -> nonzero coefficient)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolyRing:
-    l: int
-    g: int  # number of variables
-    n: int  # order of the cyclic action; n | g, shift step g/n
-
-    def __post_init__(self):
-        if not is_prime(self.l):
-            raise ValueError(f"{self.l} is not prime")
-        if self.n < 1 or self.g < 1 or self.g % self.n:
-            raise ValueError("need n >= 1 and n | g")
-
-    @property
-    def step(self):
-        return self.g // self.n
-
-    def shift_poly(self, f, times=1):
-        s = self.step * times % self.g
-        if s == 0:
-            return dict(f)
-        out = {}
-        for exps, c in f.items():
-            out[tuple(exps[(i - s) % self.g] for i in range(self.g))] = c
-        return out
-
-    def add(self, f1, f2):
-        out = dict(f1)
-        for exps, c in f2.items():
-            v = (out.get(exps, 0) + c) % self.l
-            if v:
-                out[exps] = v
-            else:
-                out.pop(exps, None)
-        return out
-
-    def mul(self, f1, f2):
-        out = {}
-        for e1, c1 in f1.items():
-            for e2, c2 in f2.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = (out.get(e, 0) + c1 * c2) % self.l
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return out
-
-    def scalar_mul(self, c, f):
-        c %= self.l
-        if c == 0:
-            return {}
-        return {e: c * v % self.l for e, v in f.items()}
-
-    def constant(self, c):
-        c %= self.l
-        return {(0,) * self.g: c} if c else {}
-
-    def leading(self, f):
-        """(monomial, coefficient) maximal in graded-lex order."""
-        if not f:
-            raise ValueError("zero polynomial has no leading term")
-        mono = max(f, key=lambda e: (sum(e), e))
-        return mono, f[mono]
-
-    def monic(self, f):
-        """(f / leading coeff, leading coeff)."""
-        _, lc = self.leading(f)
-        return self.scalar_mul(pow(lc, -1, self.l), f), lc
-
-    def constant_value(self, f):
-        """The value of f if it is constant, else None."""
-        if not f:
-            return 0
-        if len(f) == 1 and (0,) * self.g in f:
-            return f[(0,) * self.g]
-        return None
-
-    def freeze(self, f):
-        return tuple(sorted(f.items()))
-
-    def monomials_upto(self, deg):
-        out = []
-        for total in range(deg + 1):
-            out.extend(_compositions(total, self.g))
-        return sorted(out, key=lambda e: (sum(e), e))
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-# ---------------------------------------------------------------------------
-# rational functions
-# ---------------------------------------------------------------------------
-
-
-class RationalFunction:
-    """num/den with monomial-content cancellation and monic denominator.
-
-    Full multivariate gcd reduction is out of scope; equality is tested by
-    cross-multiplication, which is exact regardless of representation.
-    """
-
-    __slots__ = ("ring", "num", "den")
-
-    def __init__(self, ring, num, den):
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.ring = ring
-            self.num = {}
-            self.den = ring.constant(1)
-            return
-        num, den = _cancel_monomial_content(ring, num, den)
-        ratio = _constant_ratio(ring, num, den)
-        if ratio is not None:
-            num, den = ring.constant(ratio), ring.constant(1)
-        else:
-            den, lc = ring.monic(den)
-            num = ring.scalar_mul(pow(lc, -1, ring.l), num)
-        self.ring = ring
-        self.num = num
-        self.den = den
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction) or self.ring != other.ring:
-            return NotImplemented
-        r = self.ring
-        return r.mul(self.num, other.den) == r.mul(other.num, self.den)
-
-    def __hash__(self):
-        return hash((self.ring, self.ring.freeze(self.num), self.ring.freeze(self.den)))
-
-    def is_constant(self):
-        return (
-            self.ring.constant_value(self.num) is not None
-            and self.ring.constant_value(self.den) is not None
-        )
-
-    def constant_value(self):
-        cn = self.ring.constant_value(self.num)
-        cd = self.ring.constant_value(self.den)
-        if cn is None or cd is None:
-            return None
-        return cn * pow(cd, -1, self.ring.l) % self.ring.l
-
-    def __repr__(self):
-        return f"RationalFunction({_format_poly(self.num)} / {_format_poly(self.den)})"
-
-
-def _format_poly(f):
-    if not f:
-        return "0"
-    parts = []
-    for exps, c in sorted(f.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
-        mono = "*".join(
-            f"mu{i + 1}" + (f"^{e}" if e > 1 else "")
-            for i, e in enumerate(exps)
-            if e
-        )
-        parts.append(f"{c}*{mono}" if mono else str(c))
-    return " + ".join(parts)
-
-
-def _cancel_monomial_content(ring, num, den):
-    lows = []
-    for i in range(ring.g):
-        low = min(min(e[i] for e in num), min(e[i] for e in den))
-        lows.append(low)
-    if not any(lows):
-        return num, den
-    shift = tuple(lows)
-
-    def drop(f):
-        return {tuple(a - b for a, b in zip(e, shift)): c for e, c in f.items()}
-
-    return drop(num), drop(den)
-
-
-def _constant_ratio(ring, num, den):
-    """c with num == c * den, else None."""
-    if len(num) != len(den):
-        return None
-    _, ln = ring.leading(num)
-    _, ld = ring.leading(den)
-    c = ln * pow(ld, -1, ring.l) % ring.l
-    if ring.scalar_mul(c, den) == num:
-        return c
-    return None
-
-
-def rational_function(ring, num_terms, den_terms):
-    """Build from {monomial: coeff} dicts (or iterables of pairs)."""
-    num = {tuple(e): c % ring.l for e, c in dict(num_terms).items() if c % ring.l}
-    den = {tuple(e): c % ring.l for e, c in dict(den_terms).items() if c % ring.l}
-    return RationalFunction(ring, num, den)
-
-
-def orbit_norm(w, ring=None):
-    """Product of the n cyclic shifts of w; sigma-invariant by construction."""
-    ring = ring or w.ring
-    if not w.num:
-        raise ValueError("norm of the zero function")
-    num, den = ring.constant(1), ring.constant(1)
-    for j in range(ring.n):
-        num = ring.mul(num, ring.shift_poly(w.num, j))
-        den = ring.mul(den, ring.shift_poly(w.den, j))
-    return RationalFunction(ring, num, den)
-
 
 # ---------------------------------------------------------------------------
 # the bounded unit-norm enumeration
@@ -257,11 +39,18 @@ def proposition_check(l, n, deg_bound, g=None, max_representatives=200000):
     """Confirm that unit-valued orbit norms are exactly the n-th powers.
 
     Every nonzero rational function within the degree bound is a scalar
-    multiple of f/g with f, g monic (leading coefficient 1 in graded-lex);
-    N(c f / e g) = (c/e)^n N(f)/N(g) is constant exactly when N(f) and
-    N(g) agree up to a scalar, so grouping monic numerator norms by their
-    monic form enumerates every constant norm value without materializing
-    the quadratic number of (numerator, denominator) pairs.
+    multiple of f/h with f, h monic (leading coefficient 1 in graded-lex);
+    N(c f / e h) = (c/e)^n N(f)/N(h) is constant exactly when N(f) and
+    N(h) agree up to a scalar, so grouping numerator norms by scalar class
+    enumerates every constant norm value without materializing the
+    quadratic number of (numerator, denominator) pairs.
+
+    Polynomials are packed ints (Kronecker substitution): the monomial
+    with exponents e sits in packing field sum e_i v_i, the v_i from
+    _kronecker_weights, so a product of polynomials is a product of ints.
+    A norm is n - 1 big-int products and one packing.reduce. Its class is
+    keyed by the norm divided by its top field; the top fields within a
+    class have the same ratios as the graded-lex leading coefficients.
     """
     if l > 7:
         raise SearchSpaceTooLarge("prime fields beyond F_7 are out of desk range")
@@ -269,8 +58,12 @@ def proposition_check(l, n, deg_bound, g=None, max_representatives=200000):
         raise SearchSpaceTooLarge("group order beyond 3 is out of desk range")
     if deg_bound > 2:
         raise SearchSpaceTooLarge("degree bound beyond 2 is out of desk range")
-    ring = PolyRing(l, g or n, n)
-    monos = ring.monomials_upto(deg_bound)
+    g = g or n
+    if not is_prime(l):
+        raise ValueError(f"{l} is not prime")
+    if n < 1 or g < 1 or g % n:
+        raise ValueError("need n >= 1 and n | g")
+    monos = _monomials_upto(deg_bound, g)
     count = (l ** len(monos) - 1) // (l - 1)
     if count > max_representatives:
         raise SearchSpaceTooLarge(
@@ -279,13 +72,36 @@ def proposition_check(l, n, deg_bound, g=None, max_representatives=200000):
 
     nth_powers = sorted({pow(c, n, l) for c in range(1, l)})
 
+    # a coefficient of a norm sums at most len(monos)^(n-1) products of n
+    # residues, which is below terms (l - 1)^2
+    terms = len(monos) ** (n - 1) * (l - 1) ** (n - 2) if n > 1 else 1
+    degree = n * max(deg_bound, 0)  # bounds the total degree in a norm
+    weights = _kronecker_weights(g, degree)
+    size, s, m, qmask = packing.layout(terms, l, degree * weights[-1] + 1)
+    width = 8 * size
+    step = g // n
+    # shifted[j][i]: monomial i with mu_k moved to mu_(k + j step), packed
+    shifted = [
+        [
+            1 << (width * sum(e * weights[(k + j * step) % g] for k, e in enumerate(mono)))
+            for mono in monos
+        ]
+        for j in range(n)
+    ]
+
     classes = {}
-    for f in _monic_representatives(ring, monos):
-        norm = f
-        for j in range(1, n):
-            norm = ring.mul(norm, ring.shift_poly(f, j))
-        monic_norm, lc = ring.monic(norm)
-        classes.setdefault(ring.freeze(monic_norm), set()).add(lc)
+    for lead in range(len(monos)):
+        heads = [row[lead] for row in shifted]
+        tails = [row[:lead] for row in shifted]
+        for tail in itertools.product(range(l), repeat=lead):
+            norm = heads[0] + sum(map(mul, tail, tails[0]))
+            for head, row in zip(heads[1:], tails[1:]):
+                norm *= head + sum(map(mul, tail, row))
+            norm = packing.reduce(norm, l, m, s, qmask)
+            lc = norm >> (width * ((norm.bit_length() - 1) // width))
+            if lc != 1:
+                norm = packing.reduce(norm * pow(lc, -1, l), l, m, s, qmask)
+            classes.setdefault(norm, set()).add(lc)
 
     unit_norms = set()
     for leading_coeffs in classes.values():
@@ -300,7 +116,7 @@ def proposition_check(l, n, deg_bound, g=None, max_representatives=200000):
     return PropositionReport(
         l=l,
         n=n,
-        g=ring.g,
+        g=g,
         deg_bound=deg_bound,
         unit_norms=tuple(sorted(unit_norms)),
         nth_powers=tuple(nth_powers),
@@ -310,16 +126,53 @@ def proposition_check(l, n, deg_bound, g=None, max_representatives=200000):
     )
 
 
-def _monic_representatives(ring, monos):
-    """All nonzero polynomials on the given monomials, up to scalars:
-    graded-lex leading coefficient 1, smaller monomials arbitrary."""
-    for lead in range(len(monos)):
-        for tail in itertools.product(range(ring.l), repeat=lead):
-            f = {monos[lead]: 1}
-            for mono, c in zip(monos[:lead], tail):
-                if c:
-                    f[mono] = c
-            yield f
+def _monomials_upto(deg, g):
+    """Exponent tuples in g variables of total degree <= deg, in graded-lex
+    order; a representative's leading monomial is the last of its support."""
+    out = []
+    for total in range(deg + 1):
+        out.extend(_compositions(total, g))
+    return sorted(out, key=lambda e: (sum(e), e))
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _kronecker_weights(g, degree):
+    """Greedy v_0 < ... < v_(g-1) with every multiset of at most `degree` of
+    them summing to a different integer (a B_h set, h = degree).
+
+    A monomial of total degree <= degree then has its own weight
+    sum e_i v_i, and weights add under products, so packed polynomials
+    multiply as ints. The mixed radix v_i = (degree + 1)^i has the same
+    property, but its fields grow exponentially in g; these grow like
+    g^degree: g = 16, degree 2 ends at v = 289 instead of 3^15.
+    """
+    by_size = [[0]] + [[] for _ in range(degree)]  # sums of exactly t of them
+    seen = {0}
+    weights = []
+    v = 0
+    while len(weights) < g:
+        v += 1
+        new = [
+            (t + a, x + a * v)
+            for a in range(1, degree + 1)
+            for t in range(degree - a + 1)
+            for x in by_size[t]
+        ]
+        sums = [x for _, x in new]
+        if len(set(sums)) == len(sums) and seen.isdisjoint(sums):
+            weights.append(v)
+            seen.update(sums)
+            for t, x in new:
+                by_size[t].append(x)
+    return weights
 
 
 # ---------------------------------------------------------------------------

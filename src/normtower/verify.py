@@ -116,7 +116,7 @@ def _check_quartic_seventeen(ctx):
 
 
 def _check_dirichlet_residue(ctx):
-    """Smallest Dirichlet primes and the exhaustive residue test give m = 0."""
+    """Smallest Dirichlet primes and the residue certificate give m = 0."""
     _expect(m_invariant.find_dirichlet_prime(2, 2) == 5)
     _expect(m_invariant.residue_norm_test(2, 2, 5) is False)
     _expect(m_invariant.compute_m(m_invariant.LocalCyclotomicSpec(2, 2, 5)) == 0)

@@ -54,6 +54,14 @@ def test_hilbert_all_places(capsys):
     assert product == 1
 
 
+def test_hilbert_zero_denominator_exits_1(capsys):
+    for place in ("2", "all"):
+        code, out, err = run(capsys, "hilbert", "--a", "1/0", "--b", "3", "--place", place)
+        assert (code, out, err) == (1, "", "error: '1/0' has a zero denominator\n")
+    code, out, err = run(capsys, "hilbert", "--a", "2", "--b=-5/0", "--place", "inf")
+    assert (code, out, err) == (1, "", "error: '-5/0' has a zero denominator\n")
+
+
 def test_synthesize_decompose_pipeline(capsys, tmp_path):
     code, out, _ = run(
         capsys,

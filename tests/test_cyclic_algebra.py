@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from normtower.cyclic_algebra import (
     split_certificate,
 )
 from normtower.errors import DegenerateWitness, InternalCheckError, SearchSpaceTooLarge
+from field_reference import DigitField
 
 
 def test_lex_least_moduli_frozen():
@@ -46,6 +48,63 @@ def test_field_arithmetic_basics():
         a, b = rng.randrange(9), rng.randrange(9)
         assert f9.frobenius(f9.add(a, b)) == f9.add(f9.frobenius(a), f9.frobenius(b))
         assert f9.frobenius(f9.mul(a, b)) == f9.mul(f9.frobenius(a), f9.frobenius(b))
+
+
+ORACLE_FIELDS = (
+    [(2, k) for k in range(1, 17)]
+    + [(3, k) for k in range(1, 11)]
+    + [(5, 4), (7, 5), (313, 2), (99991, 1)]
+    # fields whose sums come closest to the packing bound
+    + [(7, 3), (11, 3), (31, 2)]
+)
+
+
+@pytest.mark.parametrize("l, k", ORACLE_FIELDS)
+def test_packed_field_agrees_with_digit_list_oracle(l, k):
+    field = FiniteField(l, k)
+    ref = DigitField(l, field.modulus)
+    rng = random.Random(f"{l}:{k}")
+    top = field.order - 1
+    elems = [0, 1, top, l % field.order] + [rng.randrange(field.order) for _ in range(4)]
+    # digits l - 1 and l - 2 push the product's fields to the top of their range
+    heavy = [sum(rng.choice((l - 1, l - 2)) * l**i for i in range(k)) for _ in range(6)]
+    pairs = [(a, b) for a in elems + heavy for b in elems + heavy]
+    pairs += [(rng.randrange(field.order), rng.randrange(field.order)) for _ in range(40)]
+    for a, b in pairs:
+        assert field.mul(a, b) == ref.mul(a, b)
+        assert field.add(a, b) == ref.add(a, b)
+        assert field.sub(a, b) == ref.sub(a, b)
+    for a in elems[:4] + elems[-2:]:
+        for times in range(2 * k + 1):
+            assert field.frobenius(a, times) == ref.frobenius(a, times)
+    # both routes read any int as its class mod l^k
+    for a in (-1, -l, field.order, field.order + l + 1):
+        for b in (-2, 1, top):
+            assert field.mul(a, b) == ref.mul(a, b)
+            assert field.sub(a, b) == ref.sub(a, b)
+        assert field.frobenius(a) == ref.frobenius(a)
+    # tau = Frobenius^d on L = F_(l^k) over E = F_(l^d), of order r = k / d
+    for d in (d for d in range(1, k) if k % d == 0 and k // d >= 2):
+        tower = FiniteFieldTower(l, d, k // d)
+        assert tower.field.modulus == field.modulus
+        for e in (0, top, rng.randrange(field.order)):
+            for times in range(2 * tower.r + 1):
+                assert tower.tau(e, times) == ref.frobenius(e, d * times)
+
+
+def test_packed_mul_covers_every_field_sum_on_tight_fields():
+    # every a against multipliers with large digits: the product's fields
+    # take nearly every value up to k (l - 1)^2, where packing is tightest
+    for l, k in ((31, 2), (7, 3)):
+        field = FiniteField(l, k)
+        ref = DigitField(l, field.modulus)
+        multipliers = [
+            sum(d * l**i for i, d in enumerate(digits))
+            for digits in itertools.product((l // 2, l - 2, l - 1), repeat=k)
+        ]
+        for a in range(field.order):
+            for b in multipliers:
+                assert field.mul(a, b) == ref.mul(a, b)
 
 
 def test_tower_tau_and_base():
@@ -123,6 +182,10 @@ def test_element_validation():
         algebra_element(tower, 3, (1, 0))  # b must lie in the base
     with pytest.raises(ValueError):
         algebra_element(tower, 2, (1, 0, 0))  # wrong coefficient count
+    for b in (-1, 9, 10):  # outside the encodings 0..8 of F_9
+        assert not tower.is_in_base(b)
+        with pytest.raises(ValueError):
+            algebra_element(tower, b, (1, 0))
 
 
 def test_regular_representation_multiplicative():

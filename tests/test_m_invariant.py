@@ -1,3 +1,5 @@
+from itertools import repeat
+
 import pytest
 
 from normtower import galois_module
@@ -22,6 +24,7 @@ from normtower.m_invariant import (
     spec_to_json,
 )
 from normtower.mvalue import NEG_INF, UNDETERMINED_LE0, format_m, parse_m
+from normtower.numtheory import is_prime
 from normtower.roots import RootOfUnityContent
 
 
@@ -64,12 +67,33 @@ def test_residue_norm_test_examples():
         residue_norm_test(2, 2, 21)  # not prime
 
 
+def residue_norm_exhaustive(p, n, q):
+    """The exhaustive route residue_norm_test took below q = 200,000: the
+    set of p^n-th powers in F_q^x against its set of elements of order p,
+    both read off the p-th power map of the whole group."""
+    images = list(map(pow, range(q), repeat(p), repeat(q)))  # x -> x^p mod q
+    order_p, x = set(), 1
+    while 1 in images[x + 1 :]:
+        x = images.index(1, x + 1)
+        order_p.add(x)
+    powers = set(images[1:])
+    for _ in range(n - 1):
+        powers = {images[y] for y in powers}
+    return bool(order_p & powers)
+
+
 def test_residue_norm_test_structural_agrees_with_exhaustive():
-    for p, n in ((2, 3), (3, 1), (5, 1)):
-        q = find_dirichlet_prime(p, n)
-        exhaustive = residue_norm_test(p, n, q, exhaustive_bound=10**6)
-        structural = residue_norm_test(p, n, q, exhaustive_bound=1)
-        assert exhaustive == structural
+    # every admissible (p, n, q) with p <= 7, n <= 3 and q < 20,000
+    checked = 0
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3):
+            for q in range(1 + p**n, 20000, p ** (n + 1)):
+                if is_prime(q):
+                    assert residue_norm_test(p, n, q) is residue_norm_exhaustive(p, n, q) is False
+                    checked += 1
+    assert checked == 2725
+    # the oracle does find order-p p^n-th powers off the precondition
+    assert residue_norm_exhaustive(2, 1, 13) and residue_norm_exhaustive(3, 1, 19)
 
 
 def test_local_cyclotomic_m_zero():

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from normtower import padic
 from normtower.errors import InsufficientPrecision, PrecisionExhausted
+from normtower.numtheory import valuation
 from normtower.padic import (
     DEFAULT_PRECISION,
     INFINITE_PLACE,
@@ -160,3 +162,35 @@ def test_reciprocity_random_pairs():
         for _, s in report.symbols:
             product *= s
         assert product == 1
+
+
+def local_data_fraction(x, p, digits):
+    """The Fraction route _local_data took before it worked on the
+    numerator and denominator ints: a test oracle."""
+    f = Fraction(x)
+    if f == 0:
+        raise ValueError("Hilbert symbol of zero")
+    num, den = f.numerator, f.denominator
+    v = valuation(num, p) - valuation(den, p)
+    num //= p ** max(valuation(num, p), 0)
+    den //= p ** max(valuation(den, p), 0)
+    pk = p**digits
+    return v, num * pow(den, -1, pk) % pk
+
+
+def test_local_data_agrees_with_fraction_route():
+    rng = random.Random(31)
+    for p in (2, 3, 5, 13):
+        values = [1, -1, p, -p, p**7, -(p**5) * 11, Fraction(1, p), Fraction(-3, p**4)]
+        for _ in range(300):
+            num = rng.choice((1, -1)) * rng.randrange(1, 10**6) * p ** rng.randrange(6)
+            den = rng.randrange(1, 10**4) * p ** rng.randrange(6)
+            values += [num, -num, Fraction(num, den), Fraction(-num, den)]
+        for x in values:
+            for digits in (1, 3, 8):
+                assert padic._local_data(x, p, digits) == local_data_fraction(x, p, digits)
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ValueError, match="Hilbert symbol of zero"):
+                padic._local_data(zero, p, 1)
+    # anything else still goes through Fraction
+    assert padic._local_data("-12/5", 2, 3) == local_data_fraction("-12/5", 2, 3) == (2, 1)

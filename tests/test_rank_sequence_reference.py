@@ -6,7 +6,7 @@ import random
 import pytest
 
 import dense_rank_reference
-from normtower import galois_module
+from normtower import galois_module, packing
 from normtower._kernels import _core_py
 from normtower.fp_linalg import FpMatrix
 
@@ -164,13 +164,13 @@ def test_reduce_every_field_value():
     for p in (2, 3, 5, 7, 11):
         for n in (1, 2, 3, 8, 24):
             h = (n * (p - 1) ** 2 + p).bit_length()
-            size, s, m, qmask = _core_py._layout(n, p)
+            size, s, m, qmask = packing.layout(n, p)
             width = 8 * size
             top = (1 << h) - 1
             for x in range(1 << h):
                 fields = [x if i % 2 == 0 else top - x for i in range(n)]
                 packed = sum(v << (width * i) for i, v in enumerate(fields))
-                reduced = _core_py._reduce(packed, p, m, s, qmask)
+                reduced = packing.reduce(packed, p, m, s, qmask)
                 assert reduced == sum((v % p) << (width * i) for i, v in enumerate(fields))
 
 
@@ -178,10 +178,10 @@ def test_field_bytes_round_trip():
     rng = random.Random(15)
     for p in (2,) + PACKING_PRIMES:
         for n in (1, 5, 24):
-            size = _core_py._layout(n, p)[0]
+            size = packing.layout(n, p)[0]
             values = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(n)]
-            raw = _core_py._to_fields(values, p, size)
+            raw = packing.to_fields(values, p, size)
             assert int.from_bytes(raw, "little") == sum(
                 v << (8 * size * i) for i, v in enumerate(values)
             )
-            assert list(_core_py._from_fields(raw, p, size)) == values
+            assert list(packing.from_fields(raw, p, size)) == values

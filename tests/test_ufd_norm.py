@@ -11,13 +11,8 @@ from normtower.errors import (
 )
 from normtower.mvalue import NEG_INF
 from normtower.roots import RootOfUnityContent
-from normtower.ufd_norm import (
-    PolyRing,
-    m_from_root_content,
-    orbit_norm,
-    proposition_check,
-    rational_function,
-)
+from normtower.ufd_norm import m_from_root_content, proposition_check
+from ufd_reference import PolyRing, orbit_norm, proposition_check_dict, rational_function
 
 
 def mu(ring, index, power=1):
@@ -123,6 +118,21 @@ def test_proposition_agrees_with_naive_enumeration():
                 seen.add(value)
     report = proposition_check(l, n, deg)
     assert seen == set(report.unit_norms)
+
+
+# every ufd-check scan the benchmark runs (its light and heavy lists, as
+# (l, n, deg, g)), c07's three, and scans with more variables than those
+ORACLE_SCANS = (
+    (3, 2, 1, 2), (5, 2, 1, 2), (2, 2, 2, 2), (3, 3, 1, 3), (7, 1, 1, 1),
+    (5, 2, 2, 2), (7, 2, 1, 4), (7, 1, 2, 2), (2, 3, 2, 3),
+    (3, 2, 2, None), (5, 2, 1, None), (3, 3, 1, None),
+    (2, 2, 1, 8), (3, 3, 1, 6), (2, 1, 2, 3), (5, 1, 0, 4), (3, 2, 0, 2),
+)
+
+
+@pytest.mark.parametrize("l, n, deg, g", ORACLE_SCANS)
+def test_packed_scan_agrees_with_dict_oracle(l, n, deg, g):
+    assert proposition_check(l, n, deg, g=g) == proposition_check_dict(l, n, deg, g=g)
 
 
 def test_proposition_guards():
