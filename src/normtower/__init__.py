@@ -1,7 +1,3 @@
 """normtower: exact arithmetic for norm invariants of cyclic p-power extensions."""
 
-from ._kernels import backend_name
-
 __version__ = "0.1.0"
-
-__all__ = ["backend_name", "__version__"]

@@ -1,12 +1,16 @@
-"""Pure-Python F_p matrix kernels.
+"""F_p matrix kernels in pure Python.
 
-Flat row-major lists of ints in [0, p). Same signatures as the compiled
-module; _kernels/__init__ picks whichever is available.
+Flat row-major lists of ints in [0, p), any prime p: entries are Python
+ints, so no sum overflows. The rank sequence packs each vector into one
+big int (see `packing`).
 """
 
-from ..packing import from_fields, layout, reduce, to_fields
+from .packing import from_fields, layout, reduce, to_fields
 
-BACKEND = "python"
+
+def backend_name():
+    """The kernel implementation in use, as benchmark records report it."""
+    return "python"
 
 
 def mat_mul(a, b, n, k, m, p):

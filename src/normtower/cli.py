@@ -248,6 +248,20 @@ def _cmd_verify_paper(args):
 # ---------------------------------------------------------------------------
 
 
+MAX_PRECISION = 10**4  # p-adic digits; the bit-by-bit 2-adic root lift takes about 1 s here
+
+
+def _precision(text):
+    """--precision: an int in [1, MAX_PRECISION], else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= value <= MAX_PRECISION:
+        raise argparse.ArgumentTypeError(f"{value} is not in [1, {MAX_PRECISION}]")
+    return value
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built on first use and kept: it holds no
@@ -258,7 +272,7 @@ def _build_parser():
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     common.add_argument(
-        "--precision", type=int, default=None, help="2-adic working precision"
+        "--precision", type=_precision, default=None, help="2-adic working precision"
     )
     common.add_argument(
         "--seed", type=int, default=0, help="seed for randomized property suites"

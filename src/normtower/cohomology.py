@@ -160,67 +160,6 @@ def extension_group(c):
     return ExtensionGroup(c)
 
 
-def groups_isomorphic(g1, g2, max_order=200):
-    """Backtracking isomorphism test between two small extension groups."""
-    if g1.order != g2.order:
-        return False
-    if g1.order > max_order:
-        raise SearchSpaceTooLarge(f"group order {g1.order} > {max_order}")
-    if g1.element_orders() != g2.element_orders():
-        return False
-    if g1.is_abelian() != g2.is_abelian():
-        return False
-
-    # greedy generating sequence for g1, with each element's word recorded
-    # as (index of earlier element, index of generator)
-    gens = []
-    reached = {g1.identity: None}
-    build = [g1.identity]
-    for x in g1.elements:
-        if x in reached:
-            continue
-        gens.append(x)
-        frontier = list(build)
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for gi, g in enumerate(gens):
-                    z = g1.op(y, g)
-                    if z not in reached:
-                        reached[z] = (y, gi)
-                        build.append(z)
-                        nxt.append(z)
-            frontier = nxt
-    order_of_gen = [g1.order_of(g) for g in gens]
-
-    by_order = {}
-    for y in g2.elements:
-        by_order.setdefault(g2.order_of(y), []).append(y)
-
-    def try_images(images):
-        phi = {g1.identity: g2.identity}
-        for x in build[1:]:
-            prev, gi = reached[x]
-            phi[x] = g2.op(phi[prev], images[gi])
-        if len(set(phi.values())) != g1.order:
-            return False
-        for x in g1.elements:
-            for y in g1.elements:
-                if phi[g1.op(x, y)] != g2.op(phi[x], phi[y]):
-                    return False
-        return True
-
-    def assign(k, images):
-        if k == len(gens):
-            return try_images(images)
-        for y in by_order.get(order_of_gen[k], ()):
-            if assign(k + 1, images + [y]):
-                return True
-        return False
-
-    return assign(0, [])
-
-
 # ---------------------------------------------------------------------------
 # the carry/wrap isomorphism
 # ---------------------------------------------------------------------------
@@ -341,18 +280,3 @@ def cohomologous_bruteforce(c1, c2, limit=10**6):
         ):
             return f
     return None
-
-
-def restrict_cocycle(c, index):
-    """Pull back to the subgroup of the given index in Z/a.
-
-    The subgroup is generated by `index`, so the restricted table is
-    c'(i, j) = c(index * i, index * j) on Z/(a/index).
-    """
-    if index < 1 or c.a % index != 0:
-        raise ValueError("index must divide a")
-    sub = c.a // index
-    table = tuple(
-        tuple(c.table[index * i][index * j] for j in range(sub)) for i in range(sub)
-    )
-    return Cocycle2(sub, c.r, table)

@@ -1,7 +1,7 @@
 """Dense exact linear algebra over prime fields F_p.
 
 Matrices are immutable-by-convention wrappers around a flat row-major list;
-the heavy loops live in _kernels (compiled when available).
+the heavy loops live in _kernels.
 """
 
 import random
@@ -9,9 +9,6 @@ import random
 from . import _kernels
 from .errors import NotInvertible
 from .numtheory import is_prime
-
-# "c" when the compiled kernels loaded, "python" on the pure fallback
-BACKEND = _kernels.backend_name()
 
 
 class FpMatrix:
@@ -155,26 +152,6 @@ def inverse(a):
     for i in range(n):
         inv[i * n : (i + 1) * n] = flat[i * 2 * n + n : (i + 1) * 2 * n]
     return FpMatrix(p, n, n, inv)
-
-
-def kernel_basis(a):
-    """Deterministic right-kernel basis from the RREF free columns.
-
-    The basis vector for free column j has 1 in slot j and the negated
-    RREF column above the pivots; vectors come in ascending j.
-    """
-    flat, r, pivots = _kernels.rref(a.entries, a.rows, a.cols, a.p)
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(a.cols):
-        if j in pivot_set:
-            continue
-        v = [0] * a.cols
-        v[j] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-flat[i * a.cols + j]) % a.p
-        basis.append(tuple(v))
-    return basis
 
 
 def random_invertible(p, n, rng=None):

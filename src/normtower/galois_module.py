@@ -240,8 +240,16 @@ def _block_diagonal(p, sizes):
     return FpMatrix.from_rows(p, rows)
 
 
+MAX_DIM = 512  # c06 and the tests build at most 90; one block of 512 takes about 1 s
+
+
 def synthesize(shape):
-    """A canonical module realizing the shape: block diagonal, sizes descending."""
+    """A canonical module realizing the shape: block diagonal, sizes descending.
+
+    Raises SearchSpaceTooLarge past MAX_DIM, before anything is allocated.
+    """
+    if shape.total_dim > MAX_DIM:
+        raise SearchSpaceTooLarge(f"dimension {shape.total_dim} > {MAX_DIM}")
     sizes = shape.block_sizes()
     return new_gmodule(shape.p, shape.n, _block_diagonal(shape.p, sizes))
 

@@ -162,13 +162,6 @@ def padic_mul(x, y):
     )
 
 
-def padic_inv(x):
-    if x.is_zero:
-        raise ZeroDivisionError("inverse of p-adic zero")
-    pk = x.p**x.precision
-    return PadicNumber(x.p, -x.valuation, pow(x.unit, -1, pk), x.precision)
-
-
 # ---------------------------------------------------------------------------
 # Hensel square roots
 # ---------------------------------------------------------------------------

@@ -63,6 +63,8 @@ def proposition_check(l, n, deg_bound, g=None, max_representatives=200000):
         raise ValueError(f"{l} is not prime")
     if n < 1 or g < 1 or g % n:
         raise ValueError("need n >= 1 and n | g")
+    if deg_bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {deg_bound}")
     monos = _monomials_upto(deg_bound, g)
     count = (l ** len(monos) - 1) // (l - 1)
     if count > max_representatives:

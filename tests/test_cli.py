@@ -324,6 +324,8 @@ def test_algebra_heavy_towers_frozen(capsys):
         (["algebra", "--l", "2", "--d", "100", "--r", "2", "--b", "1"], "|L| = 2^200 > 100000"),
         (["algebra", "--l", "2", "--d", "30", "--r", "3", "--b", "1"], "|L| = 2^90 > 100000"),
         (["algebra", "--l", "2", "--d", str(10**12), "--r", "2", "--b", "1"], "|L| = 2^"),
+        (["synthesize", "--p", "2", "--n", "40", "--free-ranks", "0," * 40 + "1"], "dimension 1099511627776 > 512"),
+        (["synthesize", "--p", "2", "--n", "9", "--free-ranks", "1," + "0," * 8 + "1"], "dimension 513 > 512"),
     ],
 )
 def test_search_guards_exit_2_in_one_line(capsys, argv, message):
@@ -341,6 +343,32 @@ def test_bad_cocycle_and_prime_arguments_exit_1(capsys):
         assert (code, out, err) == (1, "", f"error: n must be at most 64, got {n}\n")
     code, out, _ = run(capsys, "find-prime", "--p", "2", "--n", "64", "--limit", str(2**74))
     assert (code, out) == (0, "461168601842738790401\n")  # 25 * 2^64 + 1
+
+
+@pytest.mark.parametrize("command", ["m-compute", "verify-paper"])
+@pytest.mark.parametrize("precision", ["-5", "0", "10001", "100000000", "five"])
+def test_precision_out_of_range_exits_1(capsys, tmp_path, command, precision):
+    spec_file = tmp_path / "biq.json"
+    spec_file.write_text(json.dumps({"variant": "biquadratic", "a": 17, "d": -1}))
+    argv = ["--spec", str(spec_file)] if command == "m-compute" else []
+    code, out, err = run(capsys, command, *argv, "--precision", precision)
+    assert (code, out) == (1, "")
+    assert "argument --precision" in err and "Traceback" not in err
+
+
+def test_precision_in_range(capsys, tmp_path):
+    spec_file = tmp_path / "biq.json"
+    spec_file.write_text(json.dumps({"variant": "biquadratic", "a": 17, "d": -1}))
+    code, out, _ = run(capsys, "m-compute", "--spec", str(spec_file), "--precision", "64")
+    assert (code, out.splitlines()[0]) == (0, "m = 1")
+    # one digit is a valid precision, too few for a 2-adic square root
+    code, _, err = run(capsys, "m-compute", "--spec", str(spec_file), "--precision", "1")
+    assert (code, err) == (2, "InsufficientPrecision: p=2 needs at least 4 digits\n")
+
+
+def test_negative_degree_bound_exits_1(capsys):
+    code, out, err = run(capsys, "ufd-check", "--l", "3", "--n", "2", "--deg", "-1")
+    assert (code, out, err) == (1, "", "error: degree bound must be >= 0, got -1\n")
 
 
 def test_ufd_check(capsys):

@@ -13,6 +13,7 @@ from normtower.cohomology import (
     Cocycle2,
     carrying_cocycle,
     coboundary,
+    extension_group,
     extension_isomorphism,
     is_cocycle,
     scale_cocycle,
@@ -151,3 +152,17 @@ def test_guard_fires_before_any_table():
     with pytest.raises(SearchSpaceTooLarge):
         extension_isomorphism(10, 1, 10**40)
     assert extension_isomorphism(MAX_A, MAX_A, 1).target.order == MAX_A
+
+
+def test_groups_isomorphic_oracle():
+    # full-wrap carrying on Z/2 by Z/2 gives Z/4, the zero cocycle the Klein group
+    z4 = extension_group(carrying_cocycle(2, 2, 2))
+    klein = extension_group(zero_cocycle(2, 2))
+    assert not cocycle_reference.groups_isomorphic(z4, klein)
+    assert cocycle_reference.groups_isomorphic(z4, z4)
+    # the search finds an isomorphism wherever the carry shift certifies one
+    for a in range(1, 7):
+        for b in divisors(a):
+            for r in range(1, 4):
+                w = extension_isomorphism(a, b, r)
+                assert cocycle_reference.groups_isomorphic(w.source, w.target)

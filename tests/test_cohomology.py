@@ -10,10 +10,8 @@ from normtower.cohomology import (
     cohomologous_bruteforce,
     extension_group,
     extension_isomorphism,
-    groups_isomorphic,
     h2_invariant,
     is_cocycle,
-    restrict_cocycle,
     scale_cocycle,
     zero_cocycle,
 )
@@ -68,8 +66,6 @@ def test_extension_group_orders():
     assert z4.element_orders() == (1, 2, 4, 4)
     klein = extension_group(zero_cocycle(2, 2))
     assert klein.element_orders() == (1, 2, 2, 2)
-    assert not groups_isomorphic(z4, klein)
-    assert groups_isomorphic(z4, z4)
 
 
 def test_h2_invariant_frozen_values():
@@ -122,10 +118,3 @@ def test_cohomologous_witness_is_verified():
     assert f is not None
     d = coboundary(3, 2, list(f))
     assert d.table == carrying_cocycle(3, 3, 2).table
-
-
-def test_restrict_cocycle():
-    c = carrying_cocycle(8, 2, 4)
-    sub = restrict_cocycle(c, 2)  # subgroup 2Z/8 of index 2
-    assert sub.a == 4
-    assert all(sub(i, j) == c(2 * i, 2 * j) for i in range(4) for j in range(4))

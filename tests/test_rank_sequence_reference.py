@@ -1,13 +1,12 @@
-"""The packed pure rank sequence against the dense reference in
-dense_rank_reference.py, on seeded inputs that need no compiled kernels."""
+"""The packed rank sequence against the dense reference in
+dense_rank_reference.py, on seeded inputs."""
 
 import random
 
 import pytest
 
 import dense_rank_reference
-from normtower import galois_module, packing
-from normtower._kernels import _core_py
+from normtower import _kernels, galois_module, packing
 from normtower.fp_linalg import FpMatrix
 
 PRIMES = (2, 3, 5, 7, 251, 4294967311, 2**61 - 1)
@@ -31,8 +30,15 @@ def nilpotent_part(mod):
 
 def assert_agree(mat, n, p):
     expected = dense_rank_reference.nilpotent_rank_sequence(list(mat), n, p)
-    assert _core_py.nilpotent_rank_sequence(list(mat), n, p) == expected
+    assert _kernels.nilpotent_rank_sequence(list(mat), n, p) == expected
     return expected
+
+
+def test_pure_rank_sequence_known_values():
+    # single Jordan block of size 3: ranks drop by one each step
+    j3 = [0, 1, 0, 0, 0, 1, 0, 0, 0]
+    assert _kernels.nilpotent_rank_sequence(j3, 3, 5) == [3, 2, 1, 0]
+    assert _kernels.nilpotent_rank_sequence([0], 1, 2) == [1, 0]
 
 
 def test_one_by_one():
@@ -40,7 +46,7 @@ def test_one_by_one():
         assert assert_agree([0], 1, p) == [1, 0]
         for mat in ([1], [p - 1]):
             with pytest.raises(ValueError, match="not nilpotent"):
-                _core_py.nilpotent_rank_sequence(mat, 1, p)
+                _kernels.nilpotent_rank_sequence(mat, 1, p)
 
 
 def test_block_diagonal_modules():
@@ -90,7 +96,7 @@ def test_sparse_non_nilpotent_rejected_by_both():
             with pytest.raises(ValueError, match="not nilpotent"):
                 dense_rank_reference.nilpotent_rank_sequence(list(mat), n, p)
             with pytest.raises(ValueError, match="not nilpotent"):
-                _core_py.nilpotent_rank_sequence(list(mat), n, p)
+                _kernels.nilpotent_rank_sequence(list(mat), n, p)
 
 
 def test_trace_zero_non_nilpotent_rejected_by_both():
@@ -103,7 +109,7 @@ def test_trace_zero_non_nilpotent_rejected_by_both():
             for i in range(k - 1):
                 mat[i * n + i + 1] = 1
             mat[k * n + k + 1] = mat[(k + 1) * n + k] = 1
-            for kernel in (dense_rank_reference, _core_py):
+            for kernel in (dense_rank_reference, _kernels):
                 with pytest.raises(ValueError, match="not nilpotent"):
                     kernel.nilpotent_rank_sequence(list(mat), n, p)
 
