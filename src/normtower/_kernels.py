@@ -63,31 +63,8 @@ def rref(mat, rows, cols, p):
 
 
 def rank(mat, rows, cols, p):
-    """Rank via forward elimination only."""
-    m = list(mat)
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if m[i * cols + c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            for j in range(c, cols):
-                m[r * cols + j], m[pr * cols + j] = m[pr * cols + j], m[r * cols + j]
-        inv = pow(m[r * cols + c], -1, p)
-        for i in range(r + 1, rows):
-            f = m[i * cols + c]
-            if f:
-                f = f * inv % p
-                for j in range(c, cols):
-                    m[i * cols + j] = (m[i * cols + j] - f * m[r * cols + j]) % p
-        r += 1
-        if r == rows:
-            break
-    return r
+    """The rank, as rref finds it."""
+    return rref(mat, rows, cols, p)[1]
 
 
 def nilpotent_rank_sequence(mat, n, p):

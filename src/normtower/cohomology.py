@@ -90,16 +90,6 @@ def is_cocycle(c):
     )
 
 
-def coboundary(a, r, f):
-    """The 2-coboundary of a normalized 1-cochain f (f[0] must be 0)."""
-    if len(f) != a or f[0] % r != 0:
-        raise ValueError("f must be a normalized cochain of length a")
-    table = tuple(
-        tuple((f[i] + f[j] - f[(i + j) % a]) % r for j in range(a)) for i in range(a)
-    )
-    return Cocycle2(a, r, table)
-
-
 # ---------------------------------------------------------------------------
 # extension groups
 # ---------------------------------------------------------------------------
@@ -122,28 +112,10 @@ class ExtensionGroup:
         self.a = cocycle.a
         self.r = cocycle.r
         self.elements = [(m, i) for m in range(self.r) for i in range(self.a)]
-        self.identity = (0, 0)
 
     @property
     def order(self):
         return self.a * self.r
-
-    def op(self, x, y):
-        m1, i1 = x
-        m2, i2 = y
-        return ((m1 + m2 + self.cocycle(i1, i2)) % self.r, (i1 + i2) % self.a)
-
-    def order_of(self, x):
-        k, y = 1, x
-        while y != self.identity:
-            y = self.op(y, x)
-            k += 1
-            if k > self.order:
-                raise InternalCheckError("element order exceeds group order")
-        return k
-
-    def element_orders(self):
-        return tuple(sorted(self.order_of(x) for x in self.elements))
 
     def invariant(self):
         """h2_invariant of the cocycle, which construction already checked."""
@@ -154,10 +126,6 @@ class ExtensionGroup:
         return all(
             c(i, j) == c(j, i) for i in range(self.a) for j in range(self.a)
         )
-
-
-def extension_group(c):
-    return ExtensionGroup(c)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +182,8 @@ def extension_isomorphism(a, b, r):
     q = a // b
     psi = carrying_cocycle(a, b, r)
     phi = scale_cocycle(carrying_cocycle(a, a, r), q)
-    h_phi = extension_group(phi)
-    h_psi = extension_group(psi)
+    h_phi = ExtensionGroup(phi)
+    h_psi = ExtensionGroup(psi)
     shift = [i // b % r for i in range(a)]
     mapping = {(m, i): ((m + shift[i]) % r, i) for m, i in h_phi.elements}
     if len(set(mapping.values())) != h_phi.order:
@@ -254,7 +222,10 @@ def _column_invariant(c):
     return sum(c.table[i][1 % c.a] for i in range(c.a)) % d if d > 1 else 0
 
 
-def cohomologous_bruteforce(c1, c2, limit=10**6):
+MAX_COCHAINS = 10**6  # most 1-cochains cohomologous_bruteforce scans
+
+
+def cohomologous_bruteforce(c1, c2):
     """First normalized 1-cochain f with c1 - c2 = coboundary(f), else None.
 
     Searches all r^(a-1) candidates in lexicographic order; the returned f
@@ -263,8 +234,8 @@ def cohomologous_bruteforce(c1, c2, limit=10**6):
     if (c1.a, c1.r) != (c2.a, c2.r):
         raise ValueError("cocycles live on different groups")
     a, r = c1.a, c1.r
-    if r ** (a - 1) > limit:
-        raise SearchSpaceTooLarge(f"{r}^{a - 1} cochains exceed limit {limit}")
+    if r ** (a - 1) > MAX_COCHAINS:
+        raise SearchSpaceTooLarge(f"{r}^{a - 1} cochains exceed limit {MAX_COCHAINS}")
     diff = tuple(
         tuple((x - y) % r for x, y in zip(row1, row2))
         for row1, row2 in zip(c1.table, c2.table)

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import mul
 
-from . import cohomology, packing
+from . import packing
 from .errors import (
     DegenerateWitness,
     InternalCheckError,
     SearchSpaceTooLarge,
 )
-from .numtheory import is_prime
+from .numtheory import factorize, is_prime
 
 # ---------------------------------------------------------------------------
 # finite fields F_{l^k}, elements encoded as integers in [0, l^k)
@@ -54,20 +54,6 @@ def _poly_gcd(a, b, l):
     while b:
         a, b = b, _poly_rem(a, b, l)
     return a
-
-
-def _prime_divisors(k):
-    out = []
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            out.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        out.append(k)
-    return out
 
 
 class _Quotient:
@@ -163,7 +149,7 @@ def _is_irreducible(f, l):
     ring = _Quotient(l, f)
     if ring.pow(l, l**k) != l:
         return False
-    for t in _prime_divisors(k):
+    for t in factorize(k)[1]:
         diff = ring.sub(ring.pow(l, l ** (k // t)), l)
         if len(_poly_gcd(f, ring._digits(diff), l)) != 1:
             return False
@@ -301,14 +287,6 @@ def ca_one(tower, b):
     return algebra_element(tower, b, (1,) + (0,) * (tower.r - 1))
 
 
-def ca_u(tower, b):
-    return algebra_element(tower, b, (0, 1) + (0,) * (tower.r - 2))
-
-
-def ca_scalar(tower, b, c):
-    return algebra_element(tower, b, (c,) + (0,) * (tower.r - 1))
-
-
 def ca_add(x, y):
     _check_same_algebra(x, y)
     f = x.tower.field
@@ -408,10 +386,6 @@ def field_det(field, rows):
                 for j in range(c, n):
                     m[i][j] = field.sub(m[i][j], field.mul(fac, m[c][j]))
     return det
-
-
-def is_invertible(x):
-    return field_det(x.tower.field, regular_representation(x)) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -525,41 +499,3 @@ def index_ladder(p, n):
             raise InternalCheckError(f"index is not sqrt of centralizer at {i}")
         rows.append(LadderRow(i, base_degree, centralizer_dim, index, n - i))
     return tuple(rows)
-
-
-# ---------------------------------------------------------------------------
-# cocycle-level restriction identity
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RestrictionVerdict:
-    a: int
-    b_div: int
-    r: int
-    q: int
-    invariant: int
-    consistent: bool
-
-
-def restriction_consistency(a, b_div, r, q=None):
-    """The crossed-product restriction identity checked at cocycle level.
-
-    The class of the degree-a algebra with parameter alpha restricted
-    through the index-q subextension matches the degree-b algebra with
-    parameter alpha^q: both cocycles carry the same invariant and the
-    extensions are explicitly isomorphic.
-    """
-    if b_div < 1 or a % b_div:
-        raise ValueError("b_div must divide a")
-    expected_q = a // b_div
-    if q is None:
-        q = expected_q
-    elif q != expected_q:
-        raise ValueError(f"q must equal a / b_div = {expected_q}")
-    witness = cohomology.extension_isomorphism(a, b_div, r)  # raises if not verified
-    inv_psi = witness.target.invariant()
-    inv_phi = witness.source.invariant()
-    return RestrictionVerdict(
-        a, b_div, r, q, inv_psi, consistent=(inv_psi == inv_phi)
-    )

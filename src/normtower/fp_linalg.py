@@ -4,8 +4,6 @@ Matrices are immutable-by-convention wrappers around a flat row-major list;
 the heavy loops live in _kernels.
 """
 
-import random
-
 from . import _kernels
 from .errors import NotInvertible
 from .numtheory import is_prime
@@ -34,21 +32,6 @@ class FpMatrix:
             raise ValueError("ragged rows")
         return cls(p, rows, cols, [x for row in row_list for x in row])
 
-    @classmethod
-    def identity(cls, p, n):
-        e = [0] * (n * n)
-        for i in range(n):
-            e[i * n + i] = 1
-        return cls(p, n, n, e)
-
-    @classmethod
-    def zeros(cls, p, rows, cols):
-        return cls(p, rows, cols, [0] * (rows * cols))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
     def row(self, i):
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -64,34 +47,6 @@ class FpMatrix:
             and self.entries == other.entries
         )
 
-    def __add__(self, other):
-        self._compatible(other)
-        return FpMatrix(
-            self.p,
-            self.rows,
-            self.cols,
-            [(x + y) % self.p for x, y in zip(self.entries, other.entries)],
-        )
-
-    def __sub__(self, other):
-        self._compatible(other)
-        return FpMatrix(
-            self.p,
-            self.rows,
-            self.cols,
-            [(x - y) % self.p for x, y in zip(self.entries, other.entries)],
-        )
-
-    def __mul__(self, other):
-        return mat_mul(self, other)
-
-    def __pow__(self, k):
-        return mat_pow(self, k)
-
-    def _compatible(self, other):
-        if self.p != other.p or self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shapes or moduli differ")
-
     def __repr__(self):
         return f"FpMatrix(p={self.p}, {self.rows}x{self.cols})"
 
@@ -105,28 +60,8 @@ def mat_mul(a, b):
     return FpMatrix(a.p, a.rows, b.cols, flat)
 
 
-def mat_pow(a, k):
-    if a.rows != a.cols:
-        raise ValueError("power of a non-square matrix")
-    if k < 0:
-        return mat_pow(inverse(a), -k)
-    result = FpMatrix.identity(a.p, a.rows)
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return result
-
-
 def rank(a):
     return _kernels.rank(a.entries, a.rows, a.cols, a.p)
-
-
-def rref(a):
-    flat, r, pivots = _kernels.rref(a.entries, a.rows, a.cols, a.p)
-    return FpMatrix(a.p, a.rows, a.cols, flat), r, pivots
 
 
 def is_invertible(a):
@@ -154,9 +89,8 @@ def inverse(a):
     return FpMatrix(p, n, n, inv)
 
 
-def random_invertible(p, n, rng=None):
+def random_invertible(p, n, rng):
     """Uniform-entry sampling with rejection; deterministic under a seeded rng."""
-    rng = rng or random.Random(0)
     while True:
         m = FpMatrix(p, n, n, [rng.randrange(p) for _ in range(n * n)])
         if rank(m) == n:

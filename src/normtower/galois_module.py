@@ -32,7 +32,7 @@ class GModule:
 
     __slots__ = ("p", "n", "sigma", "_ranks")
 
-    def __init__(self, p, n, sigma, _ranks=None):
+    def __init__(self, p, n, sigma):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if n < 1:
@@ -44,22 +44,14 @@ class GModule:
         self.p = p
         self.n = n
         self.sigma = sigma
-        if _ranks is None:
-            d = sigma.rows
-            nil = list(sigma.entries)  # N = sigma - 1, entries still in [0, p)
-            for i in range(0, d * d, d + 1):
-                nil[i] = (nil[i] - 1) % p
-            try:
-                _ranks = _kernels.nilpotent_rank_sequence(nil, d, p)
-            except ValueError:
-                raise OrderViolation(
-                    "sigma - 1 is not nilpotent; the order is not a power of p"
-                ) from None
-            if len(_ranks) - 1 > p**n:
-                raise OrderViolation(
-                    f"sigma has order > p^n = {p**n}"
-                )
-        self._ranks = _ranks
+        try:
+            self._ranks = _kernels.nilpotent_rank_sequence(_nilpotent_part(sigma), sigma.rows, p)
+        except ValueError:
+            raise OrderViolation(
+                "sigma - 1 is not nilpotent; the order is not a power of p"
+            ) from None
+        if len(self._ranks) - 1 > p**n:
+            raise OrderViolation(f"sigma has order > p^n = {p**n}")
 
     @property
     def dim(self):
@@ -69,11 +61,12 @@ class GModule:
         return f"GModule(p={self.p}, n={self.n}, dim={self.dim})"
 
 
-def new_gmodule(p, n, sigma):
-    """Validating constructor; sigma may be an FpMatrix or a list of rows."""
-    if not isinstance(sigma, FpMatrix):
-        sigma = FpMatrix.from_rows(p, sigma)
-    return GModule(p, n, sigma)
+def _nilpotent_part(sigma):
+    """The flat entries of N = sigma - 1, each in [0, p) like sigma's."""
+    d, nil = sigma.rows, list(sigma.entries)
+    for i in range(0, d * d, d + 1):
+        nil[i] = (nil[i] - 1) % sigma.p
+    return nil
 
 
 @dataclass(frozen=True)
@@ -98,6 +91,8 @@ class DecompositionShape:
 
     def __post_init__(self):
         p, n = self.p, self.n
+        if n > MAX_N:
+            raise ValueError(f"n must be at most {MAX_N}, got {n}")
         if not is_prime(p) or n < 1:
             raise InvalidShape("p must be prime and n >= 1")
         if len(self.free_ranks) != n + 1:
@@ -240,7 +235,9 @@ def _block_diagonal(p, sizes):
     return FpMatrix.from_rows(p, rows)
 
 
-MAX_DIM = 512  # c06 and the tests build at most 90; one block of 512 takes about 1 s
+# largest module synthesize builds or a module file may give; c06 and the
+# tests build at most 90, and one Jordan block of 512 takes about 1 s
+MAX_DIM = 512
 
 
 def synthesize(shape):
@@ -251,22 +248,18 @@ def synthesize(shape):
     if shape.total_dim > MAX_DIM:
         raise SearchSpaceTooLarge(f"dimension {shape.total_dim} > {MAX_DIM}")
     sizes = shape.block_sizes()
-    return new_gmodule(shape.p, shape.n, _block_diagonal(shape.p, sizes))
+    return GModule(shape.p, shape.n, _block_diagonal(shape.p, sizes))
 
 
 def module_from_profile(p, n, sizes):
     """Block-diagonal module with the given block sizes (any partition, parts <= p^n)."""
     if any(s < 1 or s > p**n for s in sizes):
         raise ValueError("block sizes must lie in 1..p^n")
-    return new_gmodule(p, n, _block_diagonal(p, sorted(sizes, reverse=True)))
+    return GModule(p, n, _block_diagonal(p, sorted(sizes, reverse=True)))
 
 
 def conjugate(mod, q):
-    """The same module in a new basis: sigma -> q^-1 sigma q.
-
-    The rank cache is deliberately not carried over, so invariance of the
-    profile under conjugation is recomputed, not assumed.
-    """
+    """The same module in a new basis: sigma -> q^-1 sigma q."""
     qinv = fp_linalg.inverse(q)
     sigma = fp_linalg.mat_mul(fp_linalg.mat_mul(qinv, mod.sigma), q)
     return GModule(mod.p, mod.n, sigma)
@@ -308,7 +301,10 @@ def enumerate_shapes(p, n, max_dim):
 # ---------------------------------------------------------------------------
 
 
-def bruteforce_block_sizes(mod, max_dim=6):
+_ORACLE_MAX_DIM = 6  # the search scans all p^dim vectors
+
+
+def bruteforce_block_sizes(mod):
     """Block sizes by exhaustive search for a Jordan chain basis.
 
     Finds vectors v_1, v_2, ... of heights h_1 >= h_2 >= ... whose chains
@@ -317,12 +313,12 @@ def bruteforce_block_sizes(mod, max_dim=6):
     basis. Independent of the rank-sequence route.
     """
     p, d = mod.p, mod.dim
-    if d > max_dim:
-        raise SearchSpaceTooLarge(f"dimension {d} > {max_dim}")
+    if d > _ORACLE_MAX_DIM:
+        raise SearchSpaceTooLarge(f"dimension {d} > {_ORACLE_MAX_DIM}")
     if p**d > 20000:
         raise SearchSpaceTooLarge(f"p^dim = {p ** d} vectors is too many")
-    nil = mod.sigma - FpMatrix.identity(p, d)
-    nrows = nil.to_rows()
+    nil = _nilpotent_part(mod.sigma)
+    nrows = [nil[i * d : (i + 1) * d] for i in range(d)]
 
     def napply(v):
         return tuple(sum(r[j] * v[j] for j in range(d)) % p for r in nrows)
@@ -398,7 +394,8 @@ def module_to_json(mod):
     return {"p": mod.p, "n": mod.n, "sigma": mod.sigma.to_rows()}
 
 
-# largest n a JSON input or find-prime may give; shape arithmetic forms p^i for every i <= n
+# largest n a JSON input, a shape or find-prime may give; shape arithmetic
+# forms p^i for every i <= n
 MAX_N = 64
 
 
@@ -419,7 +416,8 @@ def json_int(data, key, what):
 def module_from_json(data):
     """The module a CLI JSON file describes. p and n must pass json_int, and
     sigma must be a non-empty square list of rows of JSON integers; anything
-    else is a ValueError."""
+    else is a ValueError. A sigma of dimension above MAX_DIM raises
+    SearchSpaceTooLarge before its entries are read."""
     if not isinstance(data, dict):
         raise ValueError("module JSON must be an object")
     p, n = json_int(data, "p", "module"), json_int(data, "n", "module")
@@ -430,8 +428,10 @@ def module_from_json(data):
         and all(isinstance(row, list) and len(row) == len(sigma) for row in sigma)
     ):
         raise ValueError("module JSON 'sigma' must be a non-empty square list of rows")
+    d = len(sigma)
+    if d > MAX_DIM:
+        raise SearchSpaceTooLarge(f"dimension {d} > {MAX_DIM}")
     entries = list(itertools.chain.from_iterable(sigma))
     if list(map(type, entries)).count(int) != len(entries):
         raise ValueError("module JSON 'sigma' entries must be integers")
-    d = len(sigma)
     return GModule(p, n, FpMatrix(p, d, d, entries))

@@ -355,8 +355,7 @@ def cross_check_profile(spec, module, precision=None):
             f"module is over (p={module.p}, n={module.n}), "
             f"spec wants (p={spec.p}, n={spec.n})"
         )
-    profile = galois_module.jordan_profile(module)
-    shape = galois_module.classify_profile(profile, module.p, module.n)
+    _, shape = galois_module.decompose(module)
     shape_m = galois_module.m_from_shape(shape)
     if shape_m is UNDETERMINED:
         if spec_m == NEG_INF or spec_m is UNDETERMINED_LE0:

@@ -30,13 +30,3 @@ def format_m(m):
     if isinstance(m, _Sentinel):
         return m.label
     return str(m)
-
-
-def parse_m(text):
-    if text == "-inf":
-        return NEG_INF
-    if text == "undetermined":
-        return UNDETERMINED
-    if text == "undetermined<=0":
-        return UNDETERMINED_LE0
-    return int(text)

@@ -58,8 +58,6 @@ class PadicNumber:
         pk = p**precision
         return cls(p, v, num * pow(den, -1, pk) % pk, precision)
 
-    from_int = from_fraction
-
     @property
     def is_zero(self):
         return self.unit == 0
@@ -73,17 +71,6 @@ class PadicNumber:
                 f"need {digits} digits, have {self.precision}"
             )
         return self.unit % self.p**digits
-
-    def agrees_with(self, other):
-        """Equality to the shared precision."""
-        if self.p != other.p:
-            return False
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        if self.valuation != other.valuation:
-            return False
-        k = min(self.precision, other.precision)
-        return self.unit % self.p**k == other.unit % self.p**k
 
     def __eq__(self, other):
         return (
@@ -101,18 +88,6 @@ class PadicNumber:
             f"PadicNumber({self.p}, {self.unit}*{self.p}^{self.valuation}"
             f" + O({self.p}^{self.valuation + self.precision}))"
         )
-
-    def __add__(self, other):
-        return padic_add(self, other)
-
-    def __neg__(self):
-        return padic_neg(self)
-
-    def __sub__(self, other):
-        return padic_add(self, padic_neg(other))
-
-    def __mul__(self, other):
-        return padic_mul(self, other)
 
 
 def _coerce(x, p):
@@ -175,6 +150,10 @@ def hensel_sqrt(x):
     residue mod p is returned. p = 2: iff the valuation is even and the
     unit is 1 mod 8; the root with unit 1 mod 4 is returned, carrying one
     digit fewer than the input (the derivative 2r eats a digit).
+
+    Both lift by Newton's step r -> r - (r^2 - u) / (2r). For odd p it
+    doubles the digits that are right; for p = 2, the halving costs one, so
+    a root mod 2^k becomes one mod 2^(2k - 2), and it stays 1 mod 4.
     """
     if x.is_zero:
         raise ValueError("square root of zero is trivial; pass a nonzero value")
@@ -189,10 +168,11 @@ def hensel_sqrt(x):
         u = x.unit % 2**prec
         if u % 8 != 1:
             return None
-        r = 1
-        for k in range(3, prec):
-            if (r * r - u) % 2 ** (k + 1):
-                r += 2 ** (k - 1)
+        r, k = 1, 3
+        while k < prec:
+            k = min(2 * k - 2, prec)
+            pk = 2**k
+            r = (r - (r * r - u) // 2 * pow(r, -1, pk)) % pk
         if (r * r - u) % 2**prec:
             raise InternalCheckError("2-adic lift lost the root")
         return PadicNumber(2, half_v, r % 2 ** (prec - 1), prec - 1)

@@ -9,6 +9,7 @@ enumerates every rational function within a degree bound to confirm it.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import mul
 
@@ -35,7 +36,11 @@ class PropositionReport:
     norm_classes: int
 
 
-def proposition_check(l, n, deg_bound, g=None, max_representatives=200000):
+MAX_REPRESENTATIVES = 200_000  # most monic representatives proposition_check scans
+MAX_VARIABLES = 512  # listing the monomials recurses once per variable
+
+
+def proposition_check(l, n, deg_bound, g=None):
     """Confirm that unit-valued orbit norms are exactly the n-th powers.
 
     Every nonzero rational function within the degree bound is a scalar
@@ -65,12 +70,17 @@ def proposition_check(l, n, deg_bound, g=None, max_representatives=200000):
         raise ValueError("need n >= 1 and n | g")
     if deg_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {deg_bound}")
+    # count the monomials before listing them, which a large g makes
+    # impossible; Python prints no int of more than 4,300 digits, and from
+    # 15,000 monomials on the count has more
+    terms = math.comb(g + deg_bound, deg_bound)
+    count = (l**terms - 1) // (l - 1) if terms < 15_000 else None
+    if count is None or count > MAX_REPRESENTATIVES:
+        shown = count if count is not None and count < 10**4300 else f"({l}^{terms} - 1) / {l - 1}"
+        raise SearchSpaceTooLarge(f"{shown} monic representatives exceed {MAX_REPRESENTATIVES}")
+    if g > MAX_VARIABLES:  # only a degree bound of 0 gets here with g > 16
+        raise SearchSpaceTooLarge(f"g = {g} variables > {MAX_VARIABLES}")
     monos = _monomials_upto(deg_bound, g)
-    count = (l ** len(monos) - 1) // (l - 1)
-    if count > max_representatives:
-        raise SearchSpaceTooLarge(
-            f"{count} monic representatives exceed {max_representatives}"
-        )
 
     nth_powers = sorted({pow(c, n, l) for c in range(1, l)})
 

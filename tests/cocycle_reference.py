@@ -4,10 +4,45 @@ These are the direct loops: the 2-cocycle identity over all a^3 index
 triples, and multiplicativity of a map between two extension groups over
 all (a r)^2 element pairs. The library decides both on the a x a table
 instead; tests compare the two on the same inputs. `groups_isomorphic`
-is a backtracking isomorphism search between small extension groups.
+is a backtracking isomorphism search between small extension groups, on
+the group law `op` and the element orders it gives.
 """
 
-from normtower.errors import SearchSpaceTooLarge
+from normtower.cohomology import Cocycle2
+from normtower.errors import InternalCheckError, SearchSpaceTooLarge
+
+IDENTITY = (0, 0)
+
+
+def coboundary(a, r, f):
+    """The 2-coboundary of a normalized 1-cochain f (f[0] must be 0)."""
+    if len(f) != a or f[0] % r != 0:
+        raise ValueError("f must be a normalized cochain of length a")
+    table = tuple(
+        tuple((f[i] + f[j] - f[(i + j) % a]) % r for j in range(a)) for i in range(a)
+    )
+    return Cocycle2(a, r, table)
+
+
+def op(g, x, y):
+    """(m1, i1)(m2, i2) = (m1 + m2 + c(i1, i2), i1 + i2) in the extension g."""
+    m1, i1 = x
+    m2, i2 = y
+    return ((m1 + m2 + g.cocycle(i1, i2)) % g.r, (i1 + i2) % g.a)
+
+
+def order_of(g, x):
+    k, y = 1, x
+    while y != IDENTITY:
+        y = op(g, y, x)
+        k += 1
+        if k > g.order:
+            raise InternalCheckError("element order exceeds group order")
+    return k
+
+
+def element_orders(g):
+    return tuple(sorted(order_of(g, x) for x in g.elements))
 
 
 def is_cocycle(c):
@@ -28,7 +63,7 @@ def multiplicative_defect(source, target, mapping):
     mapping[x y] != mapping[x] mapping[y]; None if there is none."""
     for x in source.elements:
         for y in source.elements:
-            if mapping[source.op(x, y)] != target.op(mapping[x], mapping[y]):
+            if mapping[op(source, x, y)] != op(target, mapping[x], mapping[y]):
                 return x, y
     return None
 
@@ -39,7 +74,7 @@ def groups_isomorphic(g1, g2, max_order=200):
         return False
     if g1.order > max_order:
         raise SearchSpaceTooLarge(f"group order {g1.order} > {max_order}")
-    if g1.element_orders() != g2.element_orders():
+    if element_orders(g1) != element_orders(g2):
         return False
     if g1.is_abelian() != g2.is_abelian():
         return False
@@ -47,8 +82,8 @@ def groups_isomorphic(g1, g2, max_order=200):
     # greedy generating sequence for g1, with each element's word recorded
     # as (index of earlier element, index of generator)
     gens = []
-    reached = {g1.identity: None}
-    build = [g1.identity]
+    reached = {IDENTITY: None}
+    build = [IDENTITY]
     for x in g1.elements:
         if x in reached:
             continue
@@ -58,28 +93,28 @@ def groups_isomorphic(g1, g2, max_order=200):
             nxt = []
             for y in frontier:
                 for gi, g in enumerate(gens):
-                    z = g1.op(y, g)
+                    z = op(g1, y, g)
                     if z not in reached:
                         reached[z] = (y, gi)
                         build.append(z)
                         nxt.append(z)
             frontier = nxt
-    order_of_gen = [g1.order_of(g) for g in gens]
+    order_of_gen = [order_of(g1, g) for g in gens]
 
     by_order = {}
     for y in g2.elements:
-        by_order.setdefault(g2.order_of(y), []).append(y)
+        by_order.setdefault(order_of(g2, y), []).append(y)
 
     def try_images(images):
-        phi = {g1.identity: g2.identity}
+        phi = {IDENTITY: IDENTITY}
         for x in build[1:]:
             prev, gi = reached[x]
-            phi[x] = g2.op(phi[prev], images[gi])
+            phi[x] = op(g2, phi[prev], images[gi])
         if len(set(phi.values())) != g1.order:
             return False
         for x in g1.elements:
             for y in g1.elements:
-                if phi[g1.op(x, y)] != g2.op(phi[x], phi[y]):
+                if phi[op(g1, x, y)] != op(g2, phi[x], phi[y]):
                     return False
         return True
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -239,6 +240,8 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "no-such-command")[0] == 1
     assert run(capsys, "find-prime", "--p", "2")[0] == 1  # missing --n
     assert run(capsys, "find-prime", "--p", "four", "--n", "1")[0] == 1
+    # argparse hands "--p=--" over as an empty list, not as a string
+    assert run(capsys, "find-prime", "--p=--", "--n", "1")[:2] == (1, "")
     assert run(capsys)[0] == 1
 
 
@@ -326,9 +329,13 @@ def test_algebra_heavy_towers_frozen(capsys):
         (["algebra", "--l", "2", "--d", str(10**12), "--r", "2", "--b", "1"], "|L| = 2^"),
         (["synthesize", "--p", "2", "--n", "40", "--free-ranks", "0," * 40 + "1"], "dimension 1099511627776 > 512"),
         (["synthesize", "--p", "2", "--n", "9", "--free-ranks", "1," + "0," * 8 + "1"], "dimension 513 > 512"),
+        (["decompose", "-"], "dimension 513 > 512"),
     ],
 )
-def test_search_guards_exit_2_in_one_line(capsys, argv, message):
+def test_search_guards_exit_2_in_one_line(capsys, monkeypatch, argv, message):
+    # stdin for decompose: the identity module of dimension 513, one past MAX_DIM
+    sigma = [[int(i == j) for j in range(513)] for i in range(513)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"p": 2, "n": 10, "sigma": sigma})))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("SearchSpaceTooLarge: ") and message in err
@@ -340,6 +347,11 @@ def test_bad_cocycle_and_prime_arguments_exit_1(capsys):
     assert (code, err) == (1, "error: a and r must be positive\n")
     for n in (65, 100000):
         code, out, err = run(capsys, "find-prime", "--p", "2", "--n", str(n))
+        assert (code, out, err) == (1, "", f"error: n must be at most 64, got {n}\n")
+    # before any p^i is formed: 2^3000 has 904 digits, 2^20000 too many to print
+    for n in (3000, 20000):
+        ranks = "0," * n + "1"
+        code, out, err = run(capsys, "synthesize", "--p", "2", "--n", str(n), "--free-ranks", ranks)
         assert (code, out, err) == (1, "", f"error: n must be at most 64, got {n}\n")
     code, out, _ = run(capsys, "find-prime", "--p", "2", "--n", "64", "--limit", str(2**74))
     assert (code, out) == (0, "461168601842738790401\n")  # 25 * 2^64 + 1
@@ -428,3 +440,36 @@ def test_output_is_deterministic(capsys):
         record.pop("seconds")
     assert a == b
     assert first[0] == second[0] == 0
+
+
+def test_every_flag_is_read_by_its_handler(capsys, tmp_path):
+    module = tmp_path / "mod.json"
+    module.write_text(json.dumps({"p": 2, "n": 1, "sigma": [[1, 1], [0, 1]]}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"variant": "biquadratic", "a": 17, "d": -1}))
+    argvs = (
+        ["decompose", str(module)],
+        ["synthesize", "--p", "2", "--n", "1", "--free-ranks", "0,1"],
+        ["m-compute", "--spec", str(spec)],
+        ["find-prime", "--p", "2", "--n", "2"],
+        ["hilbert", "--a", "2", "--b", "3", "--place", "2"],
+        ["cocycle-check", "--a", "4", "--b", "2", "--r", "2"],
+        ["algebra", "--l", "3", "--r", "2", "--b", "2"],
+        ["ufd-check", "--l", "3", "--n", "2", "--deg", "1"],
+        ["verify-paper", "--only", "c08"],
+    )
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    for argv in argvs:
+        args = cli._build_parser().parse_args(argv, namespace=Recording())
+        handler = args.func
+        read.clear()
+        assert handler(args) == 0
+        capsys.readouterr()
+        assert set(vars(args)) - {"command", "func"} <= read, argv
+    assert len(argvs) == len(cli._build_parser()._subparsers._group_actions[0].choices)

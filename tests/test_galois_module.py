@@ -12,6 +12,7 @@ from normtower.errors import (
 from normtower.fp_linalg import FpMatrix
 from normtower.galois_module import (
     DecompositionShape,
+    GModule,
     bruteforce_block_sizes,
     classify_profile,
     conjugate,
@@ -22,11 +23,14 @@ from normtower.galois_module import (
     module_from_json,
     module_from_profile,
     module_to_json,
-    new_gmodule,
     random_gmodule,
     synthesize,
 )
 from normtower.mvalue import UNDETERMINED
+
+
+def gmodule(p, n, rows):
+    return GModule(p, n, FpMatrix.from_rows(p, rows))
 
 
 def regular_representation(p, n):
@@ -40,7 +44,7 @@ def regular_representation(p, n):
 
 def test_regular_representation_is_one_free_block():
     for p, n in ((2, 1), (3, 1), (2, 2)):
-        mod = new_gmodule(p, n, regular_representation(p, n))
+        mod = gmodule(p, n, regular_representation(p, n))
         assert jordan_profile(mod).sizes == (p**n,)
         shape = classify_profile(jordan_profile(mod), p, n)
         expected = [0] * (n + 1)
@@ -50,7 +54,7 @@ def test_regular_representation_is_one_free_block():
 
 
 def test_identity_module_is_all_ones():
-    mod = new_gmodule(3, 2, FpMatrix.identity(3, 4).to_rows())
+    mod = gmodule(3, 2, [[int(i == j) for j in range(4)] for i in range(4)])
     assert jordan_profile(mod).sizes == (1, 1, 1, 1)
     shape = classify_profile(jordan_profile(mod), 3, 2)
     assert shape.free_ranks == (4, 0, 0)
@@ -61,10 +65,10 @@ def test_order_violation():
     # sigma of order 4 cannot act for p^n = 2
     sigma = regular_representation(2, 2)
     with pytest.raises(OrderViolation):
-        new_gmodule(2, 1, sigma)
+        gmodule(2, 1, sigma)
     # not unipotent at all
     with pytest.raises(OrderViolation):
-        new_gmodule(3, 1, [[0, 1], [1, 0]])
+        gmodule(3, 1, [[0, 1], [1, 0]])
 
 
 def test_shape_validation():

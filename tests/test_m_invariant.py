@@ -23,7 +23,7 @@ from normtower.m_invariant import (
     spec_from_json,
     spec_to_json,
 )
-from normtower.mvalue import NEG_INF, UNDETERMINED_LE0, format_m, parse_m
+from normtower.mvalue import NEG_INF, UNDETERMINED_LE0, format_m
 from normtower.numtheory import is_prime
 from normtower.roots import RootOfUnityContent
 
@@ -217,6 +217,4 @@ def test_spec_json_roundtrip():
 def test_m_text_format():
     assert format_m(NEG_INF) == "-inf"
     assert format_m(2) == "2"
-    assert parse_m("-inf") == NEG_INF
-    assert parse_m("3") == 3
     assert explain_m(BiquadraticSpec(17, 1)).m_text == "undetermined<=0"

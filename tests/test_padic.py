@@ -21,6 +21,29 @@ from normtower.padic import (
 )
 
 
+def agrees(x, y):
+    """Equality of two p-adic numbers to their shared precision."""
+    if x.p != y.p:
+        return False
+    if x.is_zero or y.is_zero:
+        return x.is_zero and y.is_zero
+    if x.valuation != y.valuation:
+        return False
+    k = min(x.precision, y.precision)
+    return x.unit % x.p**k == y.unit % y.p**k
+
+
+def sqrt_2adic_by_bits(u, prec):
+    """The root of a unit u = 1 mod 8 that is 1 mod 4, mod 2^(prec - 1),
+    lifted one bit per step: the reference for hensel_sqrt at p = 2."""
+    r = 1
+    for k in range(3, prec):
+        if (r * r - u) % 2 ** (k + 1):
+            r += 2 ** (k - 1)
+    assert (r * r - u) % 2**prec == 0
+    return r % 2 ** (prec - 1)
+
+
 def test_from_fraction_valuation_and_unit():
     x = PadicNumber.from_fraction(3, Fraction(18, 5), 4)
     assert x.valuation == 2
@@ -37,11 +60,9 @@ def test_arithmetic_against_exact_rationals():
             b = Fraction(rng.randint(-40, 40), rng.randint(1, 30))
             xa = PadicNumber.from_fraction(p, a)
             xb = PadicNumber.from_fraction(p, b)
-            assert padic_mul(xa, xb).agrees_with(PadicNumber.from_fraction(p, a * b))
+            assert agrees(padic_mul(xa, xb), PadicNumber.from_fraction(p, a * b))
             if a + b != 0:
-                assert padic_add(xa, xb).agrees_with(
-                    PadicNumber.from_fraction(p, a + b)
-                )
+                assert agrees(padic_add(xa, xb), PadicNumber.from_fraction(p, a + b))
 
 
 def test_full_cancellation_raises():
@@ -71,7 +92,7 @@ def test_hensel_sqrt_17_frozen_digits():
         assert root.precision == prec - 1
         assert root.residue_unit(digits) == {64: 41, 128: 105, 256: 233}[modulus]
         square = padic_mul(root, root)
-        assert square.agrees_with(PadicNumber.from_fraction(2, 17, prec))
+        assert agrees(square, PadicNumber.from_fraction(2, 17, prec))
 
 
 def test_hensel_sqrt_2adic_rejects():
@@ -83,12 +104,25 @@ def test_hensel_sqrt_2adic_rejects():
         hensel_sqrt(PadicNumber.from_fraction(2, 17, 3))
 
 
+def test_hensel_sqrt_2adic_newton_matches_bit_lift():
+    rng = random.Random(8)
+    for u, step in [(17, 1)] + [(8 * rng.getrandbits(2000) + 1, 13) for _ in range(2)]:
+        full = sqrt_2adic_by_bits(u, 2000)
+        for prec in [*range(4, 2001, step), 2000]:
+            root = hensel_sqrt(PadicNumber(2, 0, u, prec))
+            # the root that is 1 mod 4 is unique mod 2^(prec - 1)
+            assert (root.unit, root.precision) == (full % 2 ** (prec - 1), prec - 1), prec
+        for prec in (4, 5, 6, 7, 8, 63, 64, 65, 999, 1000):
+            root = hensel_sqrt(PadicNumber(2, 0, u, prec))
+            assert root.unit == sqrt_2adic_by_bits(u % 2**prec, prec), prec
+
+
 def test_hensel_sqrt_odd_p():
     # sqrt(2) in Q_7: 3^2 = 2 mod 7, canonical branch has the smaller residue
     root = hensel_sqrt(PadicNumber.from_fraction(7, 2, 10))
     assert root is not None
     assert root.residue_unit(1) == 3
-    assert padic_mul(root, root).agrees_with(PadicNumber.from_fraction(7, 2, 10))
+    assert agrees(padic_mul(root, root), PadicNumber.from_fraction(7, 2, 10))
     assert hensel_sqrt(PadicNumber.from_fraction(7, 3, 10)) is None  # non-residue
     rng = random.Random(30)
     for p in (3, 5, 13):
@@ -97,7 +131,7 @@ def test_hensel_sqrt_odd_p():
             x = PadicNumber.from_fraction(p, a * a)
             root = hensel_sqrt(x)
             assert root is not None
-            assert padic_mul(root, root).agrees_with(x)
+            assert agrees(padic_mul(root, root), x)
 
 
 def test_hilbert_symbol_frozen_values():

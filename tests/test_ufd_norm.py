@@ -140,8 +140,15 @@ def test_proposition_guards():
         proposition_check(11, 2, 1)
     with pytest.raises(SearchSpaceTooLarge):
         proposition_check(3, 2, 3)
-    with pytest.raises(SearchSpaceTooLarge):
-        proposition_check(3, 2, 2, max_representatives=10)
+    # 15 monomials of degree <= 2 in 4 variables: (3^15 - 1) / 2 representatives
+    with pytest.raises(SearchSpaceTooLarge, match="7174453 monic"):
+        proposition_check(3, 2, 2, g=4)
+    # listing the monomials first would take 10^12 tuples of 10^6 entries
+    with pytest.raises(SearchSpaceTooLarge, match=r"\(2\^1000001 - 1\) / 1 monic"):
+        proposition_check(2, 1, 1, g=10**6)
+    # degree 0 has one monomial however many variables; listing it recurses
+    with pytest.raises(SearchSpaceTooLarge, match="g = 1000000000000 variables > 512"):
+        proposition_check(3, 2, 0, g=10**12)
     with pytest.raises(ValueError):
         proposition_check(3, 2, 1, g=5)  # n must divide g
 
