@@ -92,7 +92,7 @@ def _cmd_synthesize(args):
 
 def _cmd_m_compute(args):
     spec = m_invariant.spec_from_json(_load_json(args.spec))
-    result = m_invariant.explain_m(spec, precision=args.precision)
+    result = m_invariant.explain_m(spec)
     payload = {
         "spec": m_invariant.spec_to_json(spec),
         "m": result.m_text,
@@ -232,9 +232,7 @@ def _cmd_ufd_check(args):
 
 
 def _cmd_verify_paper(args):
-    report = verify.run_checks(
-        only=args.only, seed=args.seed, precision=args.precision
-    )
+    report = verify.run_checks(only=args.only, seed=args.seed)
     if not report.records:
         sys.stderr.write(f"no checks match prefix {args.only!r}\n")
         return 1
@@ -247,22 +245,6 @@ def _cmd_verify_paper(args):
 # ---------------------------------------------------------------------------
 
 
-# p-adic digits; at 10^4 the 2-adic square root of 17 takes about 0.01 s
-# (Newton lifting, Python 3.11 on a 2-CPU x86-64 VM)
-MAX_PRECISION = 10**4
-
-
-def _precision(text):
-    """--precision: an int in [1, MAX_PRECISION], else a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 1 <= value <= MAX_PRECISION:
-        raise argparse.ArgumentTypeError(f"{value} is not in [1, {MAX_PRECISION}]")
-    return value
-
-
 @functools.cache
 def _build_parser():
     """The argument parser, built on first use and kept: it holds no
@@ -271,10 +253,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    precision = argparse.ArgumentParser(add_help=False)
-    precision.add_argument(
-        "--precision", type=_precision, default=None, help="2-adic working precision"
     )
     parser = _Parser(prog="normtower", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -298,7 +276,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser(
-        "m-compute", parents=[common, precision], help="norm invariant m of a tower spec file"
+        "m-compute", parents=[common], help="norm invariant m of a tower spec file"
     )
     p.add_argument("--spec", required=True, help="tower spec JSON file, or - for stdin")
     p.set_defaults(func=_cmd_m_compute)
@@ -354,7 +332,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_ufd_check)
 
     p = sub.add_parser(
-        "verify-paper", parents=[common, precision], help="run the full verification suite"
+        "verify-paper", parents=[common], help="run the full verification suite"
     )
     p.add_argument("--seed", type=int, default=0, help="seed for the randomized property suites")
     p.add_argument("--only", default=None, help="run checks whose id or name starts here")

@@ -10,15 +10,10 @@ exposed as exact integer identities.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 from operator import mul
 
 from . import packing
-from .errors import (
-    DegenerateWitness,
-    InternalCheckError,
-    SearchSpaceTooLarge,
-)
+from .errors import InternalCheckError, SearchSpaceTooLarge
 from .numtheory import factorize, is_prime
 
 # ---------------------------------------------------------------------------
@@ -185,11 +180,6 @@ class FiniteField(_Quotient):
         self.order = l**k
         # t in 0..k-1 -> packed images of 1, x, ..., x^(k-1) under Frobenius^t
         self._frobenius = {0: [1 << (8 * self._size * i) for i in range(k)]}
-
-    def pow(self, a, e):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        return super().pow(a, e)
 
     def inv(self, a):
         if a == 0:
@@ -422,25 +412,6 @@ def split_certificate(tower, b):
     constructed element.
     """
     w = solve_norm(tower, b)
-    twists = ()
-    if tower.field.order <= 10**4:
-        # norm-kernel twists, kept for the degenerate-retry contract and
-        # computed only once a candidate has degenerated
-        twists = (
-            tower.field.mul(w, e)
-            for e in range(2, tower.field.order)
-            if tower.norm(e) == 1
-        )
-    last_error = None
-    for cand in chain((w,), twists):
-        try:
-            return _certificate_from_preimage(tower, b, cand)
-        except DegenerateWitness as err:
-            last_error = err
-    raise last_error
-
-
-def _certificate_from_preimage(tower, b, w):
     f, r = tower.field, tower.r
     if tower.norm(w) != b:
         raise InternalCheckError("norm preimage does not hit b")
@@ -454,7 +425,7 @@ def _certificate_from_preimage(tower, b, w):
         vj = ca_mul(vj, v)
         z = ca_add(z, vj)
     if z.is_zero():
-        raise DegenerateWitness("certificate summed to zero")
+        raise InternalCheckError("certificate summed to zero")
     if not ca_mul(ca_sub(v, one), z).is_zero():
         raise InternalCheckError("(v - 1) z != 0")
     if field_det(f, regular_representation(z)) != 0:

@@ -56,21 +56,14 @@ class NotFoundBelowLimit(NormTowerError):
 class CrossCheckMismatch(NormTowerError):
     """Two independent routes to the same invariant disagree."""
 
-    def __init__(self, first, second, note=""):
+    def __init__(self, first, second):
         self.first = first
         self.second = second
-        msg = f"cross-check mismatch: {first!r} vs {second!r}"
-        if note:
-            msg += f" ({note})"
-        super().__init__(msg)
+        super().__init__(f"cross-check mismatch: {first!r} vs {second!r}")
 
 
 class MissingRootOfUnity(NormTowerError):
     """The base field lacks the root of unity the construction needs."""
-
-
-class DegenerateWitness(NormTowerError):
-    """A certificate came out zero or otherwise carries no information."""
 
 
 class FactorizationError(NormTowerError):

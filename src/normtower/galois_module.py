@@ -245,8 +245,11 @@ def synthesize(shape):
 
     Raises SearchSpaceTooLarge past MAX_DIM, before anything is allocated.
     """
-    if shape.total_dim > MAX_DIM:
-        raise SearchSpaceTooLarge(f"dimension {shape.total_dim} > {MAX_DIM}")
+    dim = shape.total_dim
+    if dim > MAX_DIM:
+        # Python prints no int of more than 4,300 digits
+        shown = dim if dim < 10**4300 else f"of {dim.bit_length()} bits"
+        raise SearchSpaceTooLarge(f"dimension {shown} > {MAX_DIM}")
     sizes = shape.block_sizes()
     return GModule(shape.p, shape.n, _block_diagonal(shape.p, sizes))
 

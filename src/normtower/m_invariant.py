@@ -20,7 +20,7 @@ from .errors import (
     NotFoundBelowLimit,
 )
 from .mvalue import NEG_INF, UNDETERMINED, UNDETERMINED_LE0, format_m
-from .numtheory import factorize, is_prime
+from .numtheory import factorize, is_prime, valuation
 from .roots import RootOfUnityContent
 
 # ---------------------------------------------------------------------------
@@ -94,13 +94,13 @@ class MResult:
         return format_m(self.m)
 
 
-def compute_m(spec, precision=None):
-    return explain_m(spec, precision=precision).m
+def compute_m(spec):
+    return explain_m(spec).m
 
 
-def explain_m(spec, precision=None):
+def explain_m(spec):
     _, compute = _variant(spec)
-    return compute(spec, precision or padic.DEFAULT_PRECISION)
+    return compute(spec)
 
 
 def _require(cond, message):
@@ -108,7 +108,7 @@ def _require(cond, message):
         raise InadmissibleSpec(message)
 
 
-def _m_brauer_rowen(spec, precision):
+def _m_brauer_rowen(spec):
     p, n, t = spec.p, spec.n, spec.t
     _require(is_prime(p), f"{p} is not prime")
     _require(n >= 1, "n must be >= 1")
@@ -130,7 +130,7 @@ def _m_brauer_rowen(spec, precision):
     )
 
 
-def _m_function_field(spec, precision):
+def _m_function_field(spec):
     p, n = spec.p, spec.n
     _require(is_prime(p), f"{p} is not prime")
     _require(n >= 1, "n must be >= 1")
@@ -154,7 +154,7 @@ def _m_function_field(spec, precision):
     return MResult(m, tuple(evidence))
 
 
-def _m_local_cyclotomic(spec, precision):
+def _m_local_cyclotomic(spec):
     p, n, q = spec.p, spec.n, spec.q
     _require(is_prime(p), f"{p} is not prime")
     _require(n >= 1, "n must be >= 1")
@@ -173,7 +173,7 @@ def _m_local_cyclotomic(spec, precision):
     )
 
 
-def _m_local_kummer(spec, precision):
+def _m_local_kummer(spec):
     p, n, l = spec.p, spec.n, spec.l
     _require(is_prime(p), f"{p} is not prime")
     _require(is_prime(l), f"{l} is not prime")
@@ -189,7 +189,7 @@ def _m_local_kummer(spec, precision):
     )
 
 
-def _m_biquadratic(spec, precision):
+def _m_biquadratic(spec):
     a, d = spec.a, spec.d
     _require(d in (1, -1), f"d must be +1 or -1, got {d}")
     _require(a > 1, "a must exceed 1")
@@ -211,13 +211,18 @@ def _m_biquadratic(spec, precision):
     else:
         evidence.append("d(a +- sqrt(a)) > 0 at the real places; no verdict there")
 
-    root = padic.hensel_sqrt(padic.PadicNumber.from_fraction(2, a, precision))
+    # the verdict reads d(a +- sqrt(a)) mod 8. With sqrt(a) = 1 mod 4,
+    # a - sqrt(a) = sqrt(a) c^2 / (sqrt(a) + 1) has valuation 2 v_2(c) - 1,
+    # and the root carries one digit fewer than a: 2 v_2(c) + 3 digits of a
+    # leave exactly 3 after that cancellation
+    precision = 2 * valuation(c, 2) + 3
+    a2 = padic.PadicNumber.from_fraction(2, a, precision)
+    root = padic.hensel_sqrt(a2)
     if root is None:
         raise InternalCheckError("a = 1 mod 8 must be a 2-adic square")
     evidence.append(
         f"sqrt({a}) exists in Q_2 (unit 1 mod 8); both completions over 2 are Q_2"
     )
-    a2 = padic.PadicNumber.from_fraction(2, a, precision)
     for sign, label in ((1, "a + sqrt(a)"), (-1, "a - sqrt(a)")):
         branch = padic.padic_add(a2, root if sign > 0 else padic.padic_neg(root))
         value = padic.padic_mul(padic.PadicNumber.from_fraction(2, d, precision), branch)
@@ -279,7 +284,9 @@ def find_dirichlet_prime(p, n, limit=10**6):
         raise ValueError(f"n must be at most {galois_module.MAX_N}, got {n}")
     start = 1 + p**n
     if limit < start:
-        raise ValueError(f"limit {limit} is below 1 + p^n = {start}")
+        # Python prints no int of more than 4,300 digits; p and limit have fewer
+        shown = start if start < 10**4300 else f"1 + {p}^{n}"
+        raise ValueError(f"limit {limit} is below 1 + p^n = {shown}")
     step = p ** (n + 1)
     q = start
     while q <= limit:
@@ -341,7 +348,7 @@ class CrossCheckVerdict:
     note: str
 
 
-def cross_check_profile(spec, module, precision=None):
+def cross_check_profile(spec, module):
     """Compare the m forced by a module's shape with the tower's m.
 
     A shape without an exceptional summand determines no m; that is
@@ -349,7 +356,7 @@ def cross_check_profile(spec, module, precision=None):
     with m = 0, whose would-be exceptional summand of dimension 2 is
     itself a free block of rank one and must appear as such.
     """
-    spec_m = compute_m(spec, precision=precision)
+    spec_m = compute_m(spec)
     if (module.p, module.n) != (spec.p, spec.n):
         raise ValueError(
             f"module is over (p={module.p}, n={module.n}), "

@@ -65,7 +65,7 @@ def test_checks_fail_under_python_O():
     script = (
         "from normtower import m_invariant, verify\n"
         "assert False, 'not running under -O'\n"
-        "m_invariant.compute_m = lambda spec, precision=None: 42\n"
+        "m_invariant.compute_m = lambda spec: 42\n"
         "record, = verify.run_checks(only='c03').records\n"
         "print(record.check_id, record.passed, record.detail)\n"
     )

@@ -330,6 +330,8 @@ def test_algebra_heavy_towers_frozen(capsys):
         (["synthesize", "--p", "2", "--n", "40", "--free-ranks", "0," * 40 + "1"], "dimension 1099511627776 > 512"),
         (["synthesize", "--p", "2", "--n", "9", "--free-ranks", "1," + "0," * 8 + "1"], "dimension 513 > 512"),
         (["decompose", "-"], "dimension 513 > 512"),
+        # (2^521 - 1)^64 has more than the 4,300 digits Python prints
+        (["synthesize", "--p", str(2**521 - 1), "--n", "64", "--free-ranks", "0," * 64 + "1"], "dimension of 33344 bits > 512"),
     ],
 )
 def test_search_guards_exit_2_in_one_line(capsys, monkeypatch, argv, message):
@@ -353,6 +355,10 @@ def test_bad_cocycle_and_prime_arguments_exit_1(capsys):
         ranks = "0," * n + "1"
         code, out, err = run(capsys, "synthesize", "--p", "2", "--n", str(n), "--free-ranks", ranks)
         assert (code, out, err) == (1, "", f"error: n must be at most 64, got {n}\n")
+    # 1 + p^n past the 4,300 digits Python prints: the message names it as a power
+    code, out, err = run(capsys, "find-prime", "--p", str(2**521 - 1), "--n", "64", "--limit", "5")
+    assert (code, out) == (1, "")
+    assert err == f"error: limit 5 is below 1 + p^n = 1 + {2**521 - 1}^64\n"
     code, out, _ = run(capsys, "find-prime", "--p", "2", "--n", "64", "--limit", str(2**74))
     assert (code, out) == (0, "461168601842738790401\n")  # 25 * 2^64 + 1
 
@@ -360,22 +366,24 @@ def test_bad_cocycle_and_prime_arguments_exit_1(capsys):
 @pytest.mark.parametrize("command", ["m-compute", "verify-paper"])
 @pytest.mark.parametrize("precision", ["-5", "0", "10001", "100000000", "five"])
 def test_precision_out_of_range_exits_1(capsys, tmp_path, command, precision):
+    # no value is in range: the 2-adic working precision follows from the spec
     spec_file = tmp_path / "biq.json"
     spec_file.write_text(json.dumps({"variant": "biquadratic", "a": 17, "d": -1}))
     argv = ["--spec", str(spec_file)] if command == "m-compute" else []
     code, out, err = run(capsys, command, *argv, "--precision", precision)
     assert (code, out) == (1, "")
-    assert "argument --precision" in err and "Traceback" not in err
+    assert f"unrecognized arguments: --precision {precision}" in err
 
 
-def test_precision_in_range(capsys, tmp_path):
+@pytest.mark.parametrize("c", [2**15, 2**16, 2**20, 3 * 2**100])
+def test_biquadratic_precision_follows_c(capsys, tmp_path, c):
+    # a - sqrt(a) has 2-adic valuation 2 v_2(c) - 1, so the digits the
+    # verdict needs grow with v_2(c): 33 at c = 2^15, 203 at c = 3 * 2^100
     spec_file = tmp_path / "biq.json"
-    spec_file.write_text(json.dumps({"variant": "biquadratic", "a": 17, "d": -1}))
-    code, out, _ = run(capsys, "m-compute", "--spec", str(spec_file), "--precision", "64")
-    assert (code, out.splitlines()[0]) == (0, "m = 1")
-    # one digit is a valid precision, too few for a 2-adic square root
-    code, _, err = run(capsys, "m-compute", "--spec", str(spec_file), "--precision", "1")
-    assert (code, err) == (2, "InsufficientPrecision: p=2 needs at least 4 digits\n")
+    for d, m in ((-1, "m = 1"), (1, "m = undetermined<=0")):
+        spec_file.write_text(json.dumps({"variant": "biquadratic", "a": 1 + c * c, "d": d}))
+        code, out, err = run(capsys, "m-compute", "--spec", str(spec_file))
+        assert (code, out.splitlines()[0], err) == (0, m, "")
 
 
 def test_negative_degree_bound_exits_1(capsys):
@@ -410,7 +418,7 @@ def test_internal_invariant_violation_exits_3(capsys, monkeypatch, tmp_path):
     from normtower import cli
     from normtower.errors import InternalCheckError
 
-    def boom(spec, precision=None):
+    def boom(spec):
         raise InternalCheckError("certificate oracles disagree")
 
     monkeypatch.setattr(cli.m_invariant, "explain_m", boom)
@@ -420,7 +428,7 @@ def test_internal_invariant_violation_exits_3(capsys, monkeypatch, tmp_path):
     assert code == 3
     assert "certificate oracles disagree" in err
 
-    def type_error(spec, precision=None):
+    def type_error(spec):
         raise TypeError("unsupported operand")
 
     monkeypatch.setattr(cli.m_invariant, "explain_m", type_error)

@@ -41,19 +41,19 @@ VALID_SPECS = (
 COMMANDS = {
     "decompose": {None: "@module"},
     "synthesize": {"--p": "2", "--n": "2", "--free-ranks": "0,0,1", "--exceptional": "1"},
-    "m-compute": {"--spec": "@spec", "--precision": "32"},
+    "m-compute": {"--spec": "@spec"},
     "find-prime": {"--p": "3", "--n": "2", "--limit": "1000"},
     "hilbert": {"--a": "-1", "--b": "3/4", "--place": "2"},
     "cocycle-check": {"--a": "8", "--b": "2", "--r": "4"},
     "algebra": {"--l": "3", "--d": "1", "--r": "2", "--b": "2"},
     "ufd-check": {"--l": "3", "--n": "2", "--deg": "1", "--g": "2"},
     # --only stays: without it every check runs, which takes seconds
-    "verify-paper": {"--only": "c08", "--seed": "7", "--precision": "32"},
+    "verify-paper": {"--only": "c08", "--seed": "7"},
 }
 FIXED = {None, "--spec", "--only"}  # never dropped or mutated
-# values past the guards: n <= 64, dimension <= 512, precision <= 10^4,
+# values past the guards: n <= 64, dimension <= 512,
 # a <= 400, a r <= 160,000, |L| <= 10^5, field and degree bounds of ufd-check
-PAST_GUARDS = ("65", "401", "513", "10001", "160001", "200001", "3000", str(10**12), str(2**64))
+PAST_GUARDS = ("65", "401", "513", "160001", "200001", "3000", str(10**12), str(2**64))
 NOT_INTS = ("x", "1.5", "", "1/0", "0", "true", "null", "[1]", "{}", "--")
 
 
@@ -192,7 +192,7 @@ def test_flags_a_subcommand_does_not_take_exit_1(call, tmp_path):
     module_file = tmp_path / "module.json"
     module_file.write_text(json.dumps(VALID_MODULE))
     files = {"@module": str(module_file), "@spec": str(spec_file)}
-    takes = {"m-compute": {"--precision"}, "verify-paper": {"--precision", "--seed"}}
+    takes = {"verify-paper": {"--seed"}}
     for command, options in COMMANDS.items():
         argv = [command]
         for key, value in options.items():

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from normtower import cyclic_algebra
 from normtower.cyclic_algebra import (
     MAX_FIELD_ORDER,
     FiniteField,
@@ -21,7 +20,7 @@ from normtower.cyclic_algebra import (
     solve_norm,
     split_certificate,
 )
-from normtower.errors import DegenerateWitness, InternalCheckError, SearchSpaceTooLarge
+from normtower.errors import InternalCheckError, SearchSpaceTooLarge
 from field_reference import DigitField
 
 
@@ -218,7 +217,7 @@ def test_split_certificate_properties():
         rng.shuffle(units)
 
 
-def test_no_twist_computed_unless_a_candidate_degenerates(monkeypatch):
+def test_split_certificate_norms_only_the_scan_and_its_preimage(monkeypatch):
     tower = FiniteFieldTower(3, 1, 2)
     w = solve_norm(tower, 2)
     calls = []
@@ -232,38 +231,6 @@ def test_no_twist_computed_unless_a_candidate_degenerates(monkeypatch):
     assert split_certificate(tower, 2).w == w
     # solve_norm scans 1..w, the certificate checks N(w) once
     assert calls == list(range(1, w + 1)) + [w]
-
-
-def test_degenerate_candidates_retry_norm_kernel_twists_in_order(monkeypatch):
-    real = cyclic_algebra._certificate_from_preimage
-    for l, d, r in ((3, 1, 2), (2, 1, 3), (5, 1, 2), (2, 2, 2)):
-        tower = FiniteFieldTower(l, d, r)
-        f = tower.field
-        for b in (e for e in tower.base_elements() if e):
-            w = solve_norm(tower, b)
-            twists = [f.mul(w, e) for e in range(2, f.order) if tower.norm(e) == 1]
-            tried = []
-
-            def first_degenerates(tower, b, cand):
-                tried.append(cand)
-                if len(tried) == 1:
-                    raise DegenerateWitness("forced")
-                return real(tower, b, cand)
-
-            monkeypatch.setattr(cyclic_algebra, "_certificate_from_preimage", first_degenerates)
-            assert split_certificate(tower, b).w == twists[0]
-            assert tried == [w, twists[0]]
-
-            tried.clear()
-
-            def all_degenerate(tower, b, cand):
-                tried.append(cand)
-                raise DegenerateWitness(f"forced at {cand}")
-
-            monkeypatch.setattr(cyclic_algebra, "_certificate_from_preimage", all_degenerate)
-            with pytest.raises(DegenerateWitness, match=f"forced at {twists[-1]}$"):
-                split_certificate(tower, b)
-            assert tried == [w] + twists
 
 
 def test_field_order_guard_before_modulus_search():

@@ -2,7 +2,7 @@ from itertools import repeat
 
 import pytest
 
-from normtower import galois_module
+from normtower import galois_module, padic
 from normtower.errors import (
     CrossCheckMismatch,
     InadmissibleSpec,
@@ -122,6 +122,40 @@ def test_biquadratic_larger_parameters():
     # certificate never depends on a
     assert compute_m(BiquadraticSpec(65, -1)) == 1
     assert compute_m(BiquadraticSpec(145, -1)) == 1
+
+
+def biquadratic_two_adic_reference(a, d):
+    """m and the (valuation, unit mod 8, sum of two squares) of d(a + sqrt(a))
+    and d(a - sqrt(a)), read off padic at 4 bitlen(a) + 8 digits, far more
+    than the 2 v_2(c) - 1 that the cancellation in a - sqrt(a) eats."""
+    prec = 4 * a.bit_length() + 8
+    a2 = padic.PadicNumber.from_fraction(2, a, prec)
+    root = padic.hensel_sqrt(a2)
+    branches = []
+    for branch in (root, padic.padic_neg(root)):
+        value = padic.padic_mul(
+            padic.PadicNumber.from_fraction(2, d, prec), padic.padic_add(a2, branch)
+        )
+        branches.append(
+            (value.valuation, value.residue_unit(3), padic.sum_of_two_squares_Q2(value))
+        )
+    certified = d < 0 or not all(is_sum for _, _, is_sum in branches)
+    return (1 if certified else UNDETERMINED_LE0), branches
+
+
+def test_biquadratic_matches_the_high_precision_reference():
+    cs = [4 * k for k in range(1, 301)]
+    cs += [b * 2**j for b in (1, 3) for j in range(2, 200)]
+    for c in cs:
+        a = 1 + c * c
+        for d in (1, -1):
+            result = explain_m(BiquadraticSpec(a, d))
+            m, branches = biquadratic_two_adic_reference(a, d)
+            assert result.m == m, (c, d)
+            for label, (v, unit8, is_sum) in zip(("a + sqrt(a)", "a - sqrt(a)"), branches):
+                line = f"d({label}) has valuation {v} and unit {unit8} mod 8: "
+                line += "a sum" if is_sum else "not a sum"
+                assert any(e.startswith(line) for e in result.evidence), (c, d, label)
 
 
 def test_biquadratic_rejections():
