@@ -81,11 +81,16 @@ def nilpotent_rank_sequence(mat, n, p):
     Python loop over entries, as in Dumas, Fousse and Salvy (J. Symb.
     Comput. 46(7), 2011):
     - pivot: the least nonzero field, read off the lowest set bit;
-    - row step: v + ((p - c) / c_w mod p) w, c and c_w the pivot fields of
-      v and of the kept w, then one packing.reduce of all fields;
+    - reduction: the basis is kept reduced (pivot field 1, zero at every
+      other pivot), so the coefficients of v against it are v's own fields
+      at the pivots, read from one to_bytes; v + sum (p - c_j) w_j then
+      takes one packing.reduce, and a v that touches no pivot takes none.
+      A new vector is scaled to pivot field 1 and cleared from the kept
+      vectors that are nonzero at its pivot;
     - mat-vec: N^T b is the sum of c_j times column j over the nonzero
       fields c_j of b, read from its bytes between its first and last
-      nonzero field, so a sparse b costs little.
+      nonzero field, so a sparse b costs little, and a unit b costs a
+      lookup.
     Raises ValueError if N is not nilpotent.
     """
     size, s, m, qmask = layout(n, p)
@@ -97,19 +102,37 @@ def nilpotent_rank_sequence(mat, n, p):
     ranks = [n]
     images = cols  # the columns of N^T span im(N^T)
     while True:
-        # Echelonize: each kept vector is stored under its pivot, with the
-        # inverse of its pivot field.
+        # Echelonize into a reduced basis, each kept vector stored under its
+        # pivot. A residue plus at most n products of two residues, the most
+        # any sum below holds in a field, is what layout(n, p) sizes for.
         basis = {}
+        pivmask = 0  # the fields of the pivots
+        support = 0  # holds every field where some kept vector is nonzero
         for v in images:
-            while v:
-                piv = ((v & -v).bit_length() - 1) // width
-                c = (v >> (width * piv)) & fmask
-                kept = basis.get(piv)
-                if kept is None:
-                    basis[piv] = (v, pow(c, -1, p))
-                    break
-                w, inv = kept
-                v = reduce(v + (p - c) * inv % p * w, p, m, s, qmask)
+            hit = v & pivmask
+            if hit:
+                coeffs = from_fields(hit.to_bytes(row, "little"), p, size)
+                acc = v
+                for piv, w in basis.items():
+                    c = coeffs[piv]
+                    if c:
+                        acc += (p - c) * w
+                v = reduce(acc, p, m, s, qmask)
+            if not v:
+                continue
+            piv = ((v & -v).bit_length() - 1) // width
+            field = fmask << (width * piv)
+            c = (v & field) >> (width * piv)
+            if c != 1:
+                v = reduce(v * pow(c, -1, p), p, m, s, qmask)
+            if support & field:
+                for q, w in basis.items():
+                    c = (w & field) >> (width * piv)
+                    if c:
+                        basis[q] = reduce(w + (p - c) * v, p, m, s, qmask)
+            basis[piv] = v
+            pivmask |= field
+            support |= v
         r = len(basis)
         ranks.append(r)
         if r == 0:
@@ -117,8 +140,12 @@ def nilpotent_rank_sequence(mat, n, p):
         if r >= ranks[-2]:
             raise ValueError("matrix is not nilpotent")
         images = []
-        for piv, (w, _) in basis.items():
-            count = (w.bit_length() - 1) // width + 1 - piv
+        for piv, w in basis.items():
+            top = (w.bit_length() - 1) // width
+            if top == piv:  # the unit vector at piv
+                images.append(cols[piv])
+                continue
+            count = top + 1 - piv
             fields = (w >> (width * piv)).to_bytes(count * size, "little")
             acc = 0
             for c, col in zip(from_fields(fields, p, size), cols[piv : piv + count]):

@@ -236,7 +236,8 @@ def _block_diagonal(p, sizes):
 
 
 # largest module synthesize builds or a module file may give; c06 and the
-# tests build at most 90, and one Jordan block of 512 takes about 1 s
+# tests build at most 90, and the rank sequence of one Jordan block takes
+# 0.4-0.5 s at 512 and 2.0-2.8 s at 1,024 (2-CPU VM, Python 3.11)
 MAX_DIM = 512
 
 

@@ -103,16 +103,29 @@ def explain_m(spec):
     return compute(spec)
 
 
-def _require(cond, message):
+# Python prints no int of more than 4,300 digits
+_PRINTABLE = 10**4300
+
+
+def _shown(x):
+    """str(x), or the bit length of an int past what Python prints."""
+    if isinstance(x, int) and abs(x) >= _PRINTABLE:
+        return f"<int of {x.bit_length()} bits>"
+    return str(x)
+
+
+def _require(cond, message, *args):
+    """Raise InadmissibleSpec unless cond; message.format(*args) is built
+    only then, each int arg as _shown gives it."""
     if not cond:
-        raise InadmissibleSpec(message)
+        raise InadmissibleSpec(message.format(*map(_shown, args)))
 
 
 def _m_brauer_rowen(spec):
     p, n, t = spec.p, spec.n, spec.t
-    _require(is_prime(p), f"{p} is not prime")
+    _require(is_prime(p), "{} is not prime", p)
     _require(n >= 1, "n must be >= 1")
-    _require(0 <= t <= n - 1, f"t must lie in 0..n-1, got {t}")
+    _require(0 <= t <= n - 1, "t must lie in 0..n-1, got {}", t)
     base = RootOfUnityContent.cyclotomic(p ** (n - t))
     s = base.max_power(p)
     if s != n - t:
@@ -132,7 +145,7 @@ def _m_brauer_rowen(spec):
 
 def _m_function_field(spec):
     p, n = spec.p, spec.n
-    _require(is_prime(p), f"{p} is not prime")
+    _require(is_prime(p), "{} is not prime", p)
     _require(n >= 1, "n must be >= 1")
     try:
         m = ufd_norm.m_from_root_content(spec.base, p, n)
@@ -156,7 +169,7 @@ def _m_function_field(spec):
 
 def _m_local_cyclotomic(spec):
     p, n, q = spec.p, spec.n, spec.q
-    _require(is_prime(p), f"{p} is not prime")
+    _require(is_prime(p), "{} is not prime", p)
     _require(n >= 1, "n must be >= 1")
     if residue_norm_test(p, n, q):
         raise InternalCheckError(f"v_{p}(q - 1) = {n} but (q-1)/p^n is divisible by {p}")
@@ -175,8 +188,8 @@ def _m_local_cyclotomic(spec):
 
 def _m_local_kummer(spec):
     p, n, l = spec.p, spec.n, spec.l
-    _require(is_prime(p), f"{p} is not prime")
-    _require(is_prime(l), f"{l} is not prime")
+    _require(is_prime(p), "{} is not prime", p)
+    _require(is_prime(l), "{} is not prime", l)
     _require(n >= 1, "n must be >= 1")
     return MResult(
         NEG_INF,
@@ -191,12 +204,16 @@ def _m_local_kummer(spec):
 
 def _m_biquadratic(spec):
     a, d = spec.a, spec.d
-    _require(d in (1, -1), f"d must be +1 or -1, got {d}")
+    _require(d in (1, -1), "d must be +1 or -1, got {}", d)
     _require(a > 1, "a must exceed 1")
     c = math.isqrt(a - 1)
-    _require(c * c == a - 1, f"a = {a} is not of the form 1 + c^2")
-    _require(c != 0 and c % 4 == 0, f"c = {c} must be a nonzero multiple of 4")
-    evidence = [f"a = {a} = 1 + {c}^2 with 4 | {c}; 8 divides a - 1 = {a - 1}"]
+    _require(c * c == a - 1, "a = {} is not of the form 1 + c^2", a)
+    _require(c != 0 and c % 4 == 0, "c = {} must be a nonzero multiple of 4", c)
+    a_text, c_text = _shown(a), _shown(c)
+    evidence = [
+        f"a = {a_text} = 1 + {c_text}^2 with 4 | {c_text}; "
+        f"8 divides a - 1 = {_shown(a - 1)}"
+    ]
     certified = False
 
     # real places: d(a + sqrt(a)) and d(a - sqrt(a)) both carry the sign of
@@ -221,7 +238,7 @@ def _m_biquadratic(spec):
     if root is None:
         raise InternalCheckError("a = 1 mod 8 must be a 2-adic square")
     evidence.append(
-        f"sqrt({a}) exists in Q_2 (unit 1 mod 8); both completions over 2 are Q_2"
+        f"sqrt({a_text}) exists in Q_2 (unit 1 mod 8); both completions over 2 are Q_2"
     )
     for sign, label in ((1, "a + sqrt(a)"), (-1, "a - sqrt(a)")):
         branch = padic.padic_add(a2, root if sign > 0 else padic.padic_neg(root))
@@ -306,10 +323,15 @@ def residue_norm_test(p, n, q):
     order. The precondition q = 1 + p^n mod p^(n+1) makes v_p(q - 1) = n,
     so (q-1)/p^n = 1 mod p and the answer is always False.
     """
-    _require(is_prime(q), f"q = {q} is not prime")
+    _require(is_prime(q), "q = {} is not prime", q)
     _require(
         q % p ** (n + 1) == (1 + p**n) % p ** (n + 1),
-        f"q = {q} is not 1 + {p}^{n} mod {p}^{n + 1}",
+        "q = {} is not 1 + {}^{} mod {}^{}",
+        q,
+        p,
+        n,
+        p,
+        n + 1,
     )
     return (q - 1) // p**n % p == 0
 

@@ -9,6 +9,8 @@ finite-field arithmetic of cyclic_algebra (polynomials mod an irreducible)
 and the orbit norms of ufd_norm (multivariate polynomials).
 """
 
+import struct
+
 
 def layout(terms, p, count=None):
     """(size, s, m, qmask): how to pack `count` (default `terms`) residues
@@ -52,7 +54,15 @@ def to_fields(values, p, size):
 
 
 def from_fields(raw, p, size):
-    """Inverse of to_fields: the values of the fields of raw."""
-    if p > 256:
-        return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-    return raw[::size]
+    """Inverse of to_fields: the values of the fields of raw, each below p."""
+    if p <= 256:
+        return raw[::size]
+    if p <= 1 << 64:
+        # every value fits the low 8 bytes of its field: copy those bytes to
+        # an 8-byte slot per value and unpack all the slots in one call
+        count = len(raw) // size
+        wide = bytearray(8 * count)
+        for k in range(min(size, 8)):
+            wide[k::8] = raw[k::size]
+        return struct.unpack(f"<{count}Q", wide)
+    return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]

@@ -164,6 +164,23 @@ def test_biquadratic_rejections():
             compute_m(BiquadraticSpec(a, d))
 
 
+def test_biquadratic_past_the_printable_digits():
+    # a = 1 + c^2 has 8,003 digits, past the 4,300 Python prints, so a is
+    # named by its bit length; c, with 4,002, is printed
+    c = 4 * (10**4000 + 1)
+    a = 1 + c * c
+    shown = f"<int of {a.bit_length()} bits>"
+    for d, m in ((1, UNDETERMINED_LE0), (-1, 1)):
+        result = explain_m(BiquadraticSpec(a, d))
+        assert result.m == m
+        assert result.evidence[0].startswith(f"a = {shown} = 1 + {c}^2 with 4 | {c}; ")
+        assert result.evidence[2].startswith(f"sqrt({shown}) exists")
+    with pytest.raises(InadmissibleSpec, match=f"a = <int of {a.bit_length() + 1} bits> is not"):
+        compute_m(BiquadraticSpec(2 * a, 1))
+    with pytest.raises(InadmissibleSpec, match=f"c = {c // 2} must"):
+        compute_m(BiquadraticSpec(1 + (c // 2) ** 2, 1))
+
+
 def test_index_bound_check():
     assert index_bound_check(NEG_INF, 1) is True
     assert index_bound_check(NEG_INF, 2) is False

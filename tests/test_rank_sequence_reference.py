@@ -191,3 +191,75 @@ def test_field_bytes_round_trip():
                 v << (8 * size * i) for i, v in enumerate(values)
             )
             assert list(packing.from_fields(raw, p, size)) == values
+
+
+def embed(mat, k, n):
+    """The k x k matrix mat as the top-left block of an n x n zero matrix."""
+    wide = [0] * (n * n)
+    for i in range(k):
+        wide[i * n : i * n + k] = mat[i * k : (i + 1) * k]
+    return wide
+
+
+def mostly_one_blocks(rng, n, p):
+    """N of Jordan blocks of up to 4 or 8 filling n // 3 rows and blocks of
+    size 1 filling the rest, conjugated dense as the modules-dense inputs
+    are, and its rank sequence: rank(N) is low, so most images reduce to
+    zero against a small basis."""
+    k = n // 3
+    mat, ranks = jordan_nilpotent(rng, k, rng.choice((4, 8)))
+    return conjugate(rng, embed(mat, k, n), n, p), [n] + ranks[1:]
+
+
+def test_low_rank_dense_conjugates():
+    # p = 257 reads the basis coefficients through the multi-byte field codec
+    rng = random.Random(16)
+    for p in (2, 3, 5, 7, 251, 257):
+        for n in (12, 30, 61):
+            mat, ranks = mostly_one_blocks(rng, n, p)
+            assert mat.count(0) < n * n * 0.7
+            assert ranks[1] <= n // 3
+            assert assert_agree(mat, n, p) == ranks
+
+
+def test_new_pivot_cleared_from_an_earlier_kept_vector():
+    # rows e5 + e7, e7, e5 + e8 of N: the second row's pivot 7 must be
+    # cleared from the first, or the third reduces to c e8 - e7, which lands on
+    # the kept pivot 7 and the rank reads 2 instead of 3
+    n = 9
+    for p in (2, 3, 7, 257):
+        for c in {1, min(2, p - 1), p - 1}:
+            mat = [0] * (n * n)
+            mat[0 * n + 5] = mat[0 * n + 7] = c
+            mat[1 * n + 7] = 1
+            mat[2 * n + 5] = 1
+            mat[2 * n + 8] = c
+            assert assert_agree(mat, n, p) == [9, 3, 0]
+
+
+def test_scaled_jordan_shift():
+    # N = c J: every image c e_(i+1) is normalized to the unit vector e_(i+1),
+    # whose image is read straight off N as c e_(i+2)
+    for p in (3, 5, 7, 251, 257, 4294967311):
+        for n in (1, 2, 7, 24):
+            for c in {2, p - 1, p // 2}:
+                mat = [c if j == i + 1 else 0 for i in range(n) for j in range(n)]
+                assert assert_agree(mat, n, p) == list(range(n, -1, -1))
+
+
+def test_dense_non_nilpotent_rejected_by_both():
+    # a nonzero eigenvalue, or the trace-zero swap [[0, 1], [1, 0]], beside
+    # nilpotent blocks, conjugated dense
+    rng = random.Random(17)
+    for p in (2, 3, 5, 7, 251, 257):
+        for n in (6, 20, 45):
+            mat, _ = jordan_nilpotent(rng, n - 2, 4)
+            wide = embed(mat, n - 2, n)
+            if rng.random() < 0.5:
+                wide[(n - 1) * n + n - 1] = rng.randrange(1, p)
+            else:
+                wide[(n - 2) * n + n - 1] = wide[(n - 1) * n + n - 2] = 1
+            dense = conjugate(rng, wide, n, p)
+            for kernel in (dense_rank_reference, _kernels):
+                with pytest.raises(ValueError, match="not nilpotent"):
+                    kernel.nilpotent_rank_sequence(list(dense), n, p)
