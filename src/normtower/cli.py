@@ -8,6 +8,7 @@ or any other unexpected exception.
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from . import cohomology, cyclic_algebra, galois_module, m_invariant, padic
 from . import ufd_norm, verify
 from .errors import InternalCheckError, NormTowerError
 from .mvalue import format_m
+from .numtheory import PRINTABLE, PRINTABLE_DIGITS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,12 +112,32 @@ def _cmd_find_prime(args):
     return 0
 
 
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def _parse_rational(text):
-    """A command-line rational; a zero denominator is a usage error."""
+    """A command-line rational. A zero denominator, or a numerator or
+    denominator Python will not print, is a usage error.
+
+    An exponent past len(text) + PRINTABLE_DIGITS makes one of the two that
+    large (or the value 0), so it is refused before Fraction builds its
+    power of ten.
+    """
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        bound = len(text) + PRINTABLE_DIGITS
+        if len(digits) > len(str(bound)) or int(digits or 0) > bound:
+            raise ValueError(f"{text!r} has an exponent past {bound}")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{text!r} has a zero denominator") from None
+    if abs(value.numerator) >= PRINTABLE or value.denominator >= PRINTABLE:
+        raise ValueError(
+            f"{text!r} has a numerator or denominator of more than {PRINTABLE_DIGITS} digits"
+        )
+    return value
 
 
 def _cmd_hilbert(args):

@@ -37,14 +37,6 @@ class SearchSpaceTooLarge(NormTowerError):
     """An exhaustive search was requested above its safety bound."""
 
 
-class PrecisionExhausted(NormTowerError):
-    """A p-adic computation cannot decide at the working precision."""
-
-
-class InsufficientPrecision(NormTowerError):
-    """An input carries fewer p-adic digits than the operation needs."""
-
-
 class InadmissibleSpec(NormTowerError):
     """Tower parameters outside the family the construction covers."""
 

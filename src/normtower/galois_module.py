@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fp_linalg import FpMatrix
 from .mvalue import UNDETERMINED
-from .numtheory import is_prime
+from .numtheory import is_prime, shown
 
 
 class GModule:
@@ -248,9 +248,9 @@ def synthesize(shape):
     """
     dim = shape.total_dim
     if dim > MAX_DIM:
-        # Python prints no int of more than 4,300 digits
-        shown = dim if dim < 10**4300 else f"of {dim.bit_length()} bits"
-        raise SearchSpaceTooLarge(f"dimension {shown} > {MAX_DIM}")
+        raise SearchSpaceTooLarge(
+            f"dimension {shown(dim, f'of {dim.bit_length()} bits')} > {MAX_DIM}"
+        )
     sizes = shape.block_sizes()
     return GModule(shape.p, shape.n, _block_diagonal(shape.p, sizes))
 

@@ -20,7 +20,7 @@ from .errors import (
     NotFoundBelowLimit,
 )
 from .mvalue import NEG_INF, UNDETERMINED, UNDETERMINED_LE0, format_m
-from .numtheory import factorize, is_prime, valuation
+from .numtheory import factorize, is_prime, shown, valuation
 from .roots import RootOfUnityContent
 
 # ---------------------------------------------------------------------------
@@ -103,22 +103,11 @@ def explain_m(spec):
     return compute(spec)
 
 
-# Python prints no int of more than 4,300 digits
-_PRINTABLE = 10**4300
-
-
-def _shown(x):
-    """str(x), or the bit length of an int past what Python prints."""
-    if isinstance(x, int) and abs(x) >= _PRINTABLE:
-        return f"<int of {x.bit_length()} bits>"
-    return str(x)
-
-
 def _require(cond, message, *args):
     """Raise InadmissibleSpec unless cond; message.format(*args) is built
-    only then, each int arg as _shown gives it."""
+    only then, each int arg as numtheory.shown gives it."""
     if not cond:
-        raise InadmissibleSpec(message.format(*map(_shown, args)))
+        raise InadmissibleSpec(message.format(*map(shown, args)))
 
 
 def _m_brauer_rowen(spec):
@@ -209,10 +198,10 @@ def _m_biquadratic(spec):
     c = math.isqrt(a - 1)
     _require(c * c == a - 1, "a = {} is not of the form 1 + c^2", a)
     _require(c != 0 and c % 4 == 0, "c = {} must be a nonzero multiple of 4", c)
-    a_text, c_text = _shown(a), _shown(c)
+    a_text, c_text = shown(a), shown(c)
     evidence = [
         f"a = {a_text} = 1 + {c_text}^2 with 4 | {c_text}; "
-        f"8 divides a - 1 = {_shown(a - 1)}"
+        f"8 divides a - 1 = {shown(a - 1)}"
     ]
     certified = False
 
@@ -231,26 +220,22 @@ def _m_biquadratic(spec):
     # the verdict reads d(a +- sqrt(a)) mod 8. With sqrt(a) = 1 mod 4,
     # a - sqrt(a) = sqrt(a) c^2 / (sqrt(a) + 1) has valuation 2 v_2(c) - 1,
     # and the root carries one digit fewer than a: 2 v_2(c) + 3 digits of a
-    # leave exactly 3 after that cancellation
+    # leave exactly 3 after that cancellation. At 2 a Hilbert symbol reads
+    # only the valuation and the unit mod 8, so the int mod 2^(precision - 1)
+    # stands for the 2-adic value exactly
     precision = 2 * valuation(c, 2) + 3
-    a2 = padic.PadicNumber.from_fraction(2, a, precision)
-    root = padic.hensel_sqrt(a2)
+    root = padic.hensel_sqrt(a, precision)
     if root is None:
         raise InternalCheckError("a = 1 mod 8 must be a 2-adic square")
     evidence.append(
         f"sqrt({a_text}) exists in Q_2 (unit 1 mod 8); both completions over 2 are Q_2"
     )
     for sign, label in ((1, "a + sqrt(a)"), (-1, "a - sqrt(a)")):
-        branch = padic.padic_add(a2, root if sign > 0 else padic.padic_neg(root))
-        value = padic.padic_mul(padic.PadicNumber.from_fraction(2, d, precision), branch)
-        is_sum = padic.sum_of_two_squares_Q2(value)
-        if is_sum != padic.two_squares_class_oracle(value):
-            raise InternalCheckError(
-                f"symbol and square-class oracle disagree on d({label})"
-            )
-        unit8 = value.residue_unit(3)
+        value = d * (a + sign * root) % 2 ** (precision - 1)
+        v = valuation(value, 2)
+        is_sum = padic.hilbert_symbol(value, -1, 2) == 1
         evidence.append(
-            f"d({label}) has valuation {value.valuation} and unit {unit8} mod 8: "
+            f"d({label}) has valuation {v} and unit {(value >> v) % 8} mod 8: "
             + ("a sum of two squares in Q_2" if is_sum else "not a sum of two squares in Q_2")
         )
         if not is_sum:
@@ -301,9 +286,7 @@ def find_dirichlet_prime(p, n, limit=10**6):
         raise ValueError(f"n must be at most {galois_module.MAX_N}, got {n}")
     start = 1 + p**n
     if limit < start:
-        # Python prints no int of more than 4,300 digits; p and limit have fewer
-        shown = start if start < 10**4300 else f"1 + {p}^{n}"
-        raise ValueError(f"limit {limit} is below 1 + p^n = {shown}")
+        raise ValueError(f"limit {limit} is below 1 + p^n = {shown(start, f'1 + {p}^{n}')}")
     step = p ** (n + 1)
     q = start
     while q <= limit:

@@ -1,4 +1,5 @@
-"""Elementary number theory helpers: primality, factorization, square roots mod p."""
+"""Elementary number theory helpers: primality, factorization, Legendre
+symbols, and how a message shows an int."""
 
 from fractions import Fraction
 
@@ -8,6 +9,19 @@ from .errors import FactorizationError
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_BOUND = 10**6
+
+# Python prints no int of more than PRINTABLE_DIGITS digits: none of
+# absolute value PRINTABLE or more
+PRINTABLE_DIGITS = 4300
+PRINTABLE = 10**PRINTABLE_DIGITS
+
+
+def shown(x, past=None):
+    """str(x), or, for an int past what Python prints, past when given and
+    else the int's bit length."""
+    if isinstance(x, int) and abs(x) >= PRINTABLE:
+        return past or f"<int of {x.bit_length()} bits>"
+    return str(x)
 
 
 def is_prime(n):
@@ -95,33 +109,3 @@ def legendre(a, p):
         return 0
     r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
-
-
-def sqrt_mod_prime(a, p):
-    """A square root of a modulo an odd prime p, or None. Tonelli-Shanks."""
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p-1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c = s, pow(z, q, p)
-    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r

@@ -36,7 +36,11 @@ class PropositionReport:
     norm_classes: int
 
 
-MAX_REPRESENTATIVES = 200_000  # most monic representatives proposition_check scans
+# most representatives times monomials^n, a norm's n-fold product size,
+# that proposition_check scans; the largest scans inside take under 1 s
+# (2-CPU VM, Python 3.11), and a bound on representatives alone let
+# --l 2 --n 3 --deg 1 --g 15, 65,535 of them, run for minutes
+MAX_WORK = 2_000_000
 MAX_VARIABLES = 512  # listing the monomials recurses once per variable
 
 
@@ -71,13 +75,15 @@ def proposition_check(l, n, deg_bound, g=None):
     if deg_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {deg_bound}")
     # count the monomials before listing them, which a large g makes
-    # impossible; Python prints no int of more than 4,300 digits, and from
-    # 15,000 monomials on the count has more
+    # impossible; from 64 monomials on there are over 2^63 representatives,
+    # so the count is left as a formula
     terms = math.comb(g + deg_bound, deg_bound)
-    count = (l**terms - 1) // (l - 1) if terms < 15_000 else None
-    if count is None or count > MAX_REPRESENTATIVES:
-        shown = count if count is not None and count < 10**4300 else f"({l}^{terms} - 1) / {l - 1}"
-        raise SearchSpaceTooLarge(f"{shown} monic representatives exceed {MAX_REPRESENTATIVES}")
+    count = (l**terms - 1) // (l - 1) if terms < 64 else None
+    if count is None or count * terms**n > MAX_WORK:
+        shown = f"({l}^{terms} - 1) / {l - 1}" if count is None else count
+        raise SearchSpaceTooLarge(
+            f"{shown} monic representatives times {terms}^{n} exceed {MAX_WORK}"
+        )
     if g > MAX_VARIABLES:  # only a degree bound of 0 gets here with g > 16
         raise SearchSpaceTooLarge(f"g = {g} variables > {MAX_VARIABLES}")
     monos = _monomials_upto(deg_bound, g)

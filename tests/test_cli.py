@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,40 @@ def test_hilbert_zero_denominator_exits_1(capsys):
         assert (code, out, err) == (1, "", "error: '1/0' has a zero denominator\n")
     code, out, err = run(capsys, "hilbert", "--a", "2", "--b=-5/0", "--place", "inf")
     assert (code, out, err) == (1, "", "error: '-5/0' has a zero denominator\n")
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        # exponents refused before Fraction builds the power of ten; the
+        # last took 12.8 s in Fraction alone
+        ("1e20000", "'1e20000' has an exponent past 4307"),
+        ("1e1000000", "'1e1000000' has an exponent past 4309"),
+        ("-2.5E+10_000_000", "'-2.5E+10_000_000' has an exponent past 4316"),
+        ("1e-99999999", "'1e-99999999' has an exponent past 4311"),
+        # small exponents, but a numerator or denominator of 4,301 digits
+        ("1e4300", "'1e4300' has a numerator or denominator of more than 4300 digits"),
+        ("3/1e-4300", None),
+        ("7e-4301", "'7e-4301' has a numerator or denominator of more than 4300 digits"),
+        # an exponent of 5,000 digits is compared by its length, not converted
+        pytest.param("1e" + "9" * 5000, "has an exponent past 9302", id="exponent-of-5000-digits"),
+    ],
+)
+def test_hilbert_oversized_rational_exits_1(capsys, value, message):
+    for place in ("5", "all"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hilbert", f"--a={value}", "--b", "3", "--place", place)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert message is None or message in err
+
+
+def test_hilbert_printable_rational_answers(capsys):
+    # 10^4000 has 4,001 digits, under the 4,300 Python prints
+    code, out, err = run(capsys, "hilbert", "--a", "1e4000", "--b", "3", "--place", "5")
+    assert (code, out, err) == (0, "1\n", "")
+    code, out, _ = run(capsys, "hilbert", "--a", "1e-4000", "--b", "3", "--place", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["a"] == "1/1" + "0" * 4000
 
 
 def test_synthesize_decompose_pipeline(capsys, tmp_path):
@@ -332,6 +367,9 @@ def test_algebra_heavy_towers_frozen(capsys):
         (["decompose", "-"], "dimension 513 > 512"),
         # (2^521 - 1)^64 has more than the 4,300 digits Python prints
         (["synthesize", "--p", str(2**521 - 1), "--n", "64", "--free-ranks", "0," * 64 + "1"], "dimension of 33344 bits > 512"),
+        # representatives times the n-fold product size: 65,535 representatives
+        # passed the old bound on them alone, and the scan ran for minutes
+        (["ufd-check", "--l", "2", "--n", "3", "--deg", "1", "--g", "15"], "65535 monic representatives times 16^3 exceed 2000000"),
     ],
 )
 def test_search_guards_exit_2_in_one_line(capsys, monkeypatch, argv, message):

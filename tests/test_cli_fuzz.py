@@ -18,8 +18,8 @@ from normtower.galois_module import MAX_DIM
 
 SEED = 20240
 CASES = 600  # argument vectors; each JSON file below adds its own mutations
-# per run: a hang, not a slow input; the slowest inside the guards found so
-# far, ufd-check --l 3 --n 3 --deg 1 --g 9, takes about 7 s
+# per run: a hang, not a slow input; ufd-check --l 3 --n 3 --deg 1 --g 9
+# took about 7 s before ufd-check bounded its work, and now exits 2
 SECONDS = 20
 
 

@@ -1,8 +1,9 @@
+import random
 from itertools import repeat
 
 import pytest
 
-from normtower import galois_module, padic
+from normtower import galois_module
 from normtower.errors import (
     CrossCheckMismatch,
     InadmissibleSpec,
@@ -24,8 +25,17 @@ from normtower.m_invariant import (
     spec_to_json,
 )
 from normtower.mvalue import NEG_INF, UNDETERMINED_LE0, format_m
-from normtower.numtheory import is_prime
+from normtower.numtheory import is_prime, valuation
 from normtower.roots import RootOfUnityContent
+from padic_reference import (
+    PadicNumber,
+    padic_add,
+    padic_mul,
+    padic_neg,
+    sum_of_two_squares_Q2,
+    two_squares_class_oracle,
+)
+import padic_reference
 
 
 def test_brauer_rowen_hits_every_t():
@@ -126,19 +136,17 @@ def test_biquadratic_larger_parameters():
 
 def biquadratic_two_adic_reference(a, d):
     """m and the (valuation, unit mod 8, sum of two squares) of d(a + sqrt(a))
-    and d(a - sqrt(a)), read off padic at 4 bitlen(a) + 8 digits, far more
-    than the 2 v_2(c) - 1 that the cancellation in a - sqrt(a) eats."""
+    and d(a - sqrt(a)), read off p-adic numbers at 4 bitlen(a) + 8 digits,
+    far more than the 2 v_2(c) - 1 that the cancellation in a - sqrt(a) eats."""
     prec = 4 * a.bit_length() + 8
-    a2 = padic.PadicNumber.from_fraction(2, a, prec)
-    root = padic.hensel_sqrt(a2)
+    a2 = PadicNumber.from_fraction(2, a, prec)
+    root = padic_reference.hensel_sqrt(a2)
     branches = []
-    for branch in (root, padic.padic_neg(root)):
-        value = padic.padic_mul(
-            padic.PadicNumber.from_fraction(2, d, prec), padic.padic_add(a2, branch)
-        )
-        branches.append(
-            (value.valuation, value.residue_unit(3), padic.sum_of_two_squares_Q2(value))
-        )
+    for branch in (root, padic_neg(root)):
+        value = padic_mul(PadicNumber.from_fraction(2, d, prec), padic_add(a2, branch))
+        is_sum = sum_of_two_squares_Q2(value)
+        assert is_sum == two_squares_class_oracle(value)
+        branches.append((value.valuation, value.residue_unit(3), is_sum))
     certified = d < 0 or not all(is_sum for _, _, is_sum in branches)
     return (1 if certified else UNDETERMINED_LE0), branches
 
@@ -156,6 +164,32 @@ def test_biquadratic_matches_the_high_precision_reference():
                 line = f"d({label}) has valuation {v} and unit {unit8} mod 8: "
                 line += "a sum" if is_sum else "not a sum"
                 assert any(e.startswith(line) for e in result.evidence), (c, d, label)
+
+
+def test_biquadratic_evidence_has_closed_forms():
+    # sqrt(a) = 1 mod 8 as 16 | c^2; a + sqrt(a) = sqrt(a)(sqrt(a) + 1) has
+    # valuation 1, a - sqrt(a) = a c^2 / (a + sqrt(a)) has 2 v_2(c) - 1, and
+    # both units are d(1 + 4 (c/4 mod 2)) mod 8: a sum of two squares in Q_2
+    # exactly when d = 1
+    cs = [4 * k for k in range(1, 400)]
+    cs += [b * 2**j for b in (1, 3, 5, 7) for j in range(2, 120)]
+    rng = random.Random(11)
+    cs += [4 * rng.randrange(1, 10**60) for _ in range(200)]
+    for c in cs:
+        v2 = valuation(c, 2)
+        for d in (1, -1):
+            unit8 = d * (1 + 4 * (c // 4 % 2)) % 8
+            verdict = "a sum" if d == 1 else "not a sum"
+            result = explain_m(BiquadraticSpec(1 + c * c, d))
+            assert result.m == (1 if d == -1 else UNDETERMINED_LE0)
+            assert result.evidence[3] == (
+                f"d(a + sqrt(a)) has valuation 1 and unit {unit8} mod 8: "
+                f"{verdict} of two squares in Q_2"
+            ), (c, d)
+            assert result.evidence[4] == (
+                f"d(a - sqrt(a)) has valuation {2 * v2 - 1} and unit {unit8} mod 8: "
+                f"{verdict} of two squares in Q_2"
+            ), (c, d)
 
 
 def test_biquadratic_rejections():

@@ -8,9 +8,9 @@ from normtower.numtheory import (
     factorize,
     is_prime,
     legendre,
-    sqrt_mod_prime,
     valuation,
 )
+from padic_reference import sqrt_mod_prime
 
 
 def test_is_prime_small():

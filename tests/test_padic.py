@@ -4,21 +4,24 @@ from fractions import Fraction
 import pytest
 
 from normtower import padic
-from normtower.errors import InsufficientPrecision, PrecisionExhausted
 from normtower.numtheory import valuation
 from normtower.padic import (
-    DEFAULT_PRECISION,
     INFINITE_PLACE,
-    PadicNumber,
     hensel_sqrt,
     hilbert_symbol,
+    quaternion_splits_Q,
+)
+from padic_reference import (
+    InsufficientPrecision,
+    PadicNumber,
+    PrecisionExhausted,
     padic_add,
     padic_mul,
     padic_neg,
-    quaternion_splits_Q,
     sum_of_two_squares_Q2,
     two_squares_class_oracle,
 )
+import padic_reference
 
 
 def agrees(x, y):
@@ -85,23 +88,31 @@ def test_insufficient_precision_guard():
 
 
 def test_hensel_sqrt_17_frozen_digits():
-    # the 1 mod 4 square root of 17 in Z_2, one step short of input precision
-    for prec, modulus, digits in ((7, 64, 6), (8, 128, 7), (9, 256, 8)):
-        root = hensel_sqrt(PadicNumber.from_fraction(2, 17, prec))
-        assert root is not None
-        assert root.precision == prec - 1
-        assert root.residue_unit(digits) == {64: 41, 128: 105, 256: 233}[modulus]
-        square = padic_mul(root, root)
-        assert agrees(square, PadicNumber.from_fraction(2, 17, prec))
+    # the 1 mod 4 square root of 17 in Z_2, one digit short of the input's
+    for digits, modulus in ((7, 64), (8, 128), (9, 256)):
+        root = hensel_sqrt(17, digits)
+        assert root == {64: 41, 128: 105, 256: 233}[modulus]
+        assert (root * root - 17) % 2**digits == 0
+    # the reference number type wraps the same root
+    root = padic_reference.hensel_sqrt(PadicNumber.from_fraction(2, 17, 9))
+    assert (root.valuation, root.unit, root.precision) == (0, 233, 8)
+    assert agrees(padic_mul(root, root), PadicNumber.from_fraction(2, 17, 9))
 
 
 def test_hensel_sqrt_2adic_rejects():
-    assert hensel_sqrt(PadicNumber.from_fraction(2, 3, 8)) is None  # 3 mod 8
-    assert hensel_sqrt(PadicNumber.from_fraction(2, 5, 8)) is None  # 5 mod 8
-    assert hensel_sqrt(PadicNumber.from_fraction(2, 2, 8)) is None  # odd valuation
-    assert hensel_sqrt(PadicNumber.from_fraction(2, 68, 8)) is not None  # 4 * 17
+    assert hensel_sqrt(3, 8) is None  # 3 mod 8
+    assert hensel_sqrt(5, 8) is None  # 5 mod 8
+    assert hensel_sqrt(2, 8) is None  # not a unit
+    assert hensel_sqrt(68, 8) is None  # 4 * 17, not a unit either
+    assert hensel_sqrt(17, 3) == 1  # the root mod 4
+    with pytest.raises(ValueError, match="at least 3 digits"):
+        hensel_sqrt(17, 2)
+    # the reference takes the valuation apart first: 68 = 4 * 17 has a root
+    sqrt = padic_reference.hensel_sqrt
+    assert sqrt(PadicNumber.from_fraction(2, 2, 8)) is None  # odd valuation
+    assert sqrt(PadicNumber.from_fraction(2, 68, 8)).valuation == 1
     with pytest.raises(InsufficientPrecision):
-        hensel_sqrt(PadicNumber.from_fraction(2, 17, 3))
+        sqrt(PadicNumber.from_fraction(2, 17, 3))
 
 
 def test_hensel_sqrt_2adic_newton_matches_bit_lift():
@@ -109,27 +120,26 @@ def test_hensel_sqrt_2adic_newton_matches_bit_lift():
     for u, step in [(17, 1)] + [(8 * rng.getrandbits(2000) + 1, 13) for _ in range(2)]:
         full = sqrt_2adic_by_bits(u, 2000)
         for prec in [*range(4, 2001, step), 2000]:
-            root = hensel_sqrt(PadicNumber(2, 0, u, prec))
             # the root that is 1 mod 4 is unique mod 2^(prec - 1)
-            assert (root.unit, root.precision) == (full % 2 ** (prec - 1), prec - 1), prec
+            assert hensel_sqrt(u, prec) == full % 2 ** (prec - 1), prec
         for prec in (4, 5, 6, 7, 8, 63, 64, 65, 999, 1000):
-            root = hensel_sqrt(PadicNumber(2, 0, u, prec))
-            assert root.unit == sqrt_2adic_by_bits(u % 2**prec, prec), prec
+            assert hensel_sqrt(u, prec) == sqrt_2adic_by_bits(u % 2**prec, prec), prec
 
 
 def test_hensel_sqrt_odd_p():
     # sqrt(2) in Q_7: 3^2 = 2 mod 7, canonical branch has the smaller residue
-    root = hensel_sqrt(PadicNumber.from_fraction(7, 2, 10))
+    sqrt = padic_reference.hensel_sqrt
+    root = sqrt(PadicNumber.from_fraction(7, 2, 10))
     assert root is not None
     assert root.residue_unit(1) == 3
     assert agrees(padic_mul(root, root), PadicNumber.from_fraction(7, 2, 10))
-    assert hensel_sqrt(PadicNumber.from_fraction(7, 3, 10)) is None  # non-residue
+    assert sqrt(PadicNumber.from_fraction(7, 3, 10)) is None  # non-residue
     rng = random.Random(30)
     for p in (3, 5, 13):
         for _ in range(10):
             a = rng.randint(1, 400)
             x = PadicNumber.from_fraction(p, a * a)
-            root = hensel_sqrt(x)
+            root = sqrt(x)
             assert root is not None
             assert agrees(padic_mul(root, root), x)
 
@@ -163,6 +173,22 @@ def test_two_squares_frozen_and_oracle_equivalence():
         for sign in (1, -1):
             x = PadicNumber.from_fraction(2, sign * s)
             assert sum_of_two_squares_Q2(x) == two_squares_class_oracle(x)
+
+
+def test_symbol_at_2_matches_the_square_class_oracle_on_every_class():
+    # every class (valuation mod 2, unit mod 8), each at several valuations
+    # and through several units: every input the biquadratic verdict's
+    # symbol (value, -1)_2 can see, and rationals besides
+    rng = random.Random(5)
+    for v in range(-7, 9):
+        for unit in (1, 3, 5, 7):
+            for _ in range(6):
+                odd = unit + 8 * rng.randrange(10**6)
+                x = odd << v if v >= 0 else Fraction(odd, 2**-v)
+                for x in (x, Fraction(x, 9)):  # 9 = 1 mod 8 keeps the class
+                    assert (hilbert_symbol(x, -1, 2) == 1) == two_squares_class_oracle(x), x
+    # the table itself: a sum of two squares is 2^v times 1 or 5 mod 8
+    assert padic_reference.TWO_SQUARE_CLASSES == {(e, u) for e in (0, 1) for u in (1, 5)}
 
 
 def test_quaternion_reports():

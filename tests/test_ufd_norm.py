@@ -11,7 +11,7 @@ from normtower.errors import (
 )
 from normtower.mvalue import NEG_INF
 from normtower.roots import RootOfUnityContent
-from normtower.ufd_norm import m_from_root_content, proposition_check
+from normtower.ufd_norm import MAX_WORK, m_from_root_content, proposition_check
 from ufd_reference import PolyRing, orbit_norm, proposition_check_dict, rational_function
 
 
@@ -143,6 +143,14 @@ def test_proposition_guards():
     # 15 monomials of degree <= 2 in 4 variables: (3^15 - 1) / 2 representatives
     with pytest.raises(SearchSpaceTooLarge, match="7174453 monic"):
         proposition_check(3, 2, 2, g=4)
+    # fewer than 200,000 representatives, but times len(monos)^n past
+    # MAX_WORK: these scans ran 8.7 s, 5.4 s and minutes
+    for l, n, deg, g, count, terms in (
+        (3, 3, 1, 9, 29524, 10), (2, 2, 1, 16, 131071, 17), (2, 3, 1, 15, 65535, 16)
+    ):
+        message = f"^{count} monic representatives times {terms}\\^{n} exceed {MAX_WORK}$"
+        with pytest.raises(SearchSpaceTooLarge, match=message):
+            proposition_check(l, n, deg, g=g)
     # listing the monomials first would take 10^12 tuples of 10^6 entries
     with pytest.raises(SearchSpaceTooLarge, match=r"\(2\^1000001 - 1\) / 1 monic"):
         proposition_check(2, 1, 1, g=10**6)
