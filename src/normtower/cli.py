@@ -12,8 +12,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import cohomology, cyclic_algebra, galois_module, m_invariant, padic
-from . import ufd_norm, verify
 from .errors import InternalCheckError, NormTowerError
 from .mvalue import format_m
 from .numtheory import PRINTABLE, PRINTABLE_DIGITS
@@ -47,9 +45,13 @@ def _load_json(path):
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+# Each handler imports the modules it runs, so that a call loads only
+# those: start-up, not the math, is most of a typical call.
 
 
 def _cmd_decompose(args):
+    from . import galois_module
+
     mod = galois_module.module_from_json(_load_json(args.file))
     profile, shape = galois_module.decompose(mod)
     m = galois_module.m_from_shape(shape)
@@ -80,6 +82,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_synthesize(args):
+    from . import galois_module
+
     ranks = tuple(int(x) for x in args.free_ranks.split(","))
     shape = galois_module.DecompositionShape(args.p, args.n, ranks, args.exceptional)
     mod = galois_module.synthesize(shape)
@@ -93,6 +97,8 @@ def _cmd_synthesize(args):
 
 
 def _cmd_m_compute(args):
+    from . import m_invariant
+
     spec = m_invariant.spec_from_json(_load_json(args.spec))
     result = m_invariant.explain_m(spec)
     payload = {
@@ -107,12 +113,15 @@ def _cmd_m_compute(args):
 
 
 def _cmd_find_prime(args):
+    from . import m_invariant
+
     q = m_invariant.find_dirichlet_prime(args.p, args.n, args.limit)
     _emit(args, {"p": args.p, "n": args.n, "q": q}, [str(q)])
     return 0
 
 
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+_DIGIT_RUN = re.compile(r"[\d_]+")
 
 
 def _parse_rational(text):
@@ -121,7 +130,8 @@ def _parse_rational(text):
 
     An exponent past len(text) + PRINTABLE_DIGITS makes one of the two that
     large (or the value 0), so it is refused before Fraction builds its
-    power of ten.
+    power of ten; so is any run of more than PRINTABLE_DIGITS digits, which
+    Fraction would not read.
     """
     exponent = _EXPONENT.search(text)
     if exponent:
@@ -129,6 +139,8 @@ def _parse_rational(text):
         bound = len(text) + PRINTABLE_DIGITS
         if len(digits) > len(str(bound)) or int(digits or 0) > bound:
             raise ValueError(f"{text!r} has an exponent past {bound}")
+    if any(len(run.replace("_", "")) > PRINTABLE_DIGITS for run in _DIGIT_RUN.findall(text)):
+        raise ValueError(f"{text!r} has a run of more than {PRINTABLE_DIGITS} digits")
     try:
         value = Fraction(text)
     except ZeroDivisionError:
@@ -141,6 +153,8 @@ def _parse_rational(text):
 
 
 def _cmd_hilbert(args):
+    from . import padic
+
     a, b = _parse_rational(args.a), _parse_rational(args.b)
     if args.place == "all":
         report = padic.quaternion_splits_Q(a, b)
@@ -169,6 +183,8 @@ def _cmd_hilbert(args):
 
 
 def _cmd_cocycle_check(args):
+    from . import cohomology
+
     a, b, r = args.a, args.b, args.r
     witness = cohomology.extension_isomorphism(a, b, r)
     # each ExtensionGroup checked its cocycle once, when the witness built it
@@ -201,6 +217,8 @@ def _cmd_cocycle_check(args):
 
 
 def _cmd_algebra(args):
+    from . import cyclic_algebra
+
     tower = cyclic_algebra.FiniteFieldTower(args.l, args.d, args.r)
     if not tower.is_in_base(args.b) or args.b == 0:
         raise ValueError(f"b = {args.b} is not a unit of the base field")
@@ -227,6 +245,8 @@ def _cmd_algebra(args):
 
 
 def _cmd_ufd_check(args):
+    from . import ufd_norm
+
     report = ufd_norm.proposition_check(
         args.l, args.n, args.deg, g=args.g
     )
@@ -254,6 +274,8 @@ def _cmd_ufd_check(args):
 
 
 def _cmd_verify_paper(args):
+    from . import verify
+
     report = verify.run_checks(only=args.only, seed=args.seed)
     if not report.records:
         sys.stderr.write(f"no checks match prefix {args.only!r}\n")

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fp_linalg import FpMatrix
 from .mvalue import UNDETERMINED
-from .numtheory import is_prime, shown
+from .numtheory import MAX_N, is_prime, json_int, shown
 
 
 class GModule:
@@ -396,25 +396,6 @@ def bruteforce_block_sizes(mod):
 
 def module_to_json(mod):
     return {"p": mod.p, "n": mod.n, "sigma": mod.sigma.to_rows()}
-
-
-# largest n a JSON input, a shape or find-prime may give; shape arithmetic
-# forms p^i for every i <= n
-MAX_N = 64
-
-
-def json_int(data, key, what):
-    """data[key], which must be a JSON integer (not a bool, float, string or
-    null), and at most MAX_N for "n"; anything else is a ValueError naming
-    `what`. Module, tower spec and base JSON all read their ints through it."""
-    if key not in data:
-        raise ValueError(f"{what} JSON lacks key {key!r}")
-    value = data[key]
-    if type(value) is not int:
-        raise ValueError(f"{what} JSON {key!r} must be an integer, got {value!r}")
-    if key == "n" and value > MAX_N:
-        raise ValueError(f"{what} JSON 'n' must be at most {MAX_N}, got {value}")
-    return value
 
 
 def module_from_json(data):

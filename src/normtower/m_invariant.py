@@ -11,7 +11,6 @@ ones, and Hilbert symbols for the quartic family over Q.
 import math
 from dataclasses import dataclass, fields
 
-from . import galois_module, padic, ufd_norm
 from .errors import (
     CrossCheckMismatch,
     InadmissibleSpec,
@@ -20,8 +19,11 @@ from .errors import (
     NotFoundBelowLimit,
 )
 from .mvalue import NEG_INF, UNDETERMINED, UNDETERMINED_LE0, format_m
-from .numtheory import factorize, is_prime, shown, valuation
-from .roots import RootOfUnityContent
+from .numtheory import MAX_N, factorize, is_prime, json_int, shown, valuation
+from .roots import RootOfUnityContent, m_from_root_content
+
+# padic (biquadratic only) and galois_module (cross_check_profile only) are
+# imported where they are used, so that other callers do not load them
 
 # ---------------------------------------------------------------------------
 # tower constructions
@@ -119,7 +121,7 @@ def _m_brauer_rowen(spec):
     s = base.max_power(p)
     if s != n - t:
         raise InternalCheckError(f"conductor p^{n - t} carries content {s}")
-    m = ufd_norm.m_from_root_content(base, p, n)
+    m = m_from_root_content(base, p, n)
     if m != t:
         raise InternalCheckError(f"chain gave m = {m}, parameterization says {t}")
     return MResult(
@@ -137,7 +139,7 @@ def _m_function_field(spec):
     _require(is_prime(p), "{} is not prime", p)
     _require(n >= 1, "n must be >= 1")
     try:
-        m = ufd_norm.m_from_root_content(spec.base, p, n)
+        m = m_from_root_content(spec.base, p, n)
     except MissingRootOfUnity as err:
         raise InadmissibleSpec(str(err)) from None
     s = spec.base.max_power(p)
@@ -192,6 +194,8 @@ def _m_local_kummer(spec):
 
 
 def _m_biquadratic(spec):
+    from . import padic
+
     a, d = spec.a, spec.d
     _require(d in (1, -1), "d must be +1 or -1, got {}", d)
     _require(a > 1, "a must exceed 1")
@@ -282,8 +286,8 @@ def find_dirichlet_prime(p, n, limit=10**6):
     """Smallest prime q with q = 1 + p^n mod p^(n+1); n is at most MAX_N."""
     if not is_prime(p) or n < 1:
         raise ValueError("p must be prime and n >= 1")
-    if n > galois_module.MAX_N:
-        raise ValueError(f"n must be at most {galois_module.MAX_N}, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"n must be at most {MAX_N}, got {n}")
     start = 1 + p**n
     if limit < start:
         raise ValueError(f"limit {limit} is below 1 + p^n = {shown(start, f'1 + {p}^{n}')}")
@@ -361,6 +365,8 @@ def cross_check_profile(spec, module):
     with m = 0, whose would-be exceptional summand of dimension 2 is
     itself a free block of rank one and must appear as such.
     """
+    from . import galois_module
+
     spec_m = compute_m(spec)
     if (module.p, module.n) != (spec.p, spec.n):
         raise ValueError(
@@ -415,7 +421,7 @@ def spec_from_json(data):
         **{
             field.name: RootOfUnityContent.from_json(data.get(field.name))
             if field.type is RootOfUnityContent
-            else galois_module.json_int(data, field.name, "tower spec")
+            else json_int(data, field.name, "tower spec")
             for field in fields(cls)
         }
     )

@@ -1,12 +1,15 @@
 """Elementary number theory helpers: primality, factorization, Legendre
-symbols, and how a message shows an int."""
+symbols, how a message shows an int, and how JSON input gives one."""
 
 from fractions import Fraction
 
 from .errors import FactorizationError
 
-# Strong-pseudoprime bases giving a deterministic test below 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Strong-pseudoprime bases giving a deterministic test below MR_EXACT_BELOW,
+# the least strong pseudoprime to all of them (Sorenson and Webster, 2015).
+# Without 41 the bound is 318665857834031151167461, which passes bases 2-37.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
 
 _TRIAL_BOUND = 10**6
 
@@ -25,10 +28,11 @@ def shown(x, past=None):
 
 
 def is_prime(n):
-    """Miller-Rabin, deterministic for every n this package ever sees."""
+    """Miller-Rabin: exact below MR_EXACT_BELOW, a strong probable-prime
+    test above it."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n == q:
             return True
         if n % q == 0:
@@ -66,8 +70,8 @@ def factorize(n):
     """Factor a nonzero rational into {prime: exponent} plus a sign.
 
     Returns (sign, factors). Denominator primes get negative exponents.
-    Raises FactorizationError when a composite cofactor survives trial
-    division up to 10^6 and is not provably prime.
+    Raises FactorizationError when a cofactor survives trial division up
+    to 10^6 and is composite, or is too large for is_prime to be exact.
     """
     n = Fraction(n)
     if n == 0:
@@ -82,6 +86,12 @@ def factorize(n):
             factors[p] = factors.get(p, 0) + unit * k
             if value == 1:
                 break
+        if value >= MR_EXACT_BELOW:
+            digits = len(str(value)) if value < PRINTABLE else f"more than {PRINTABLE_DIGITS}"
+            raise FactorizationError(
+                f"cofactor of {digits} digits survives trial division; "
+                f"primality is proved only below {MR_EXACT_BELOW}"
+            )
         if value > 1:
             if is_prime(value):
                 factors[value] = factors.get(value, 0) + unit
@@ -109,3 +119,22 @@ def legendre(a, p):
         return 0
     r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
+
+
+# largest n a JSON input, a shape or find-prime may give; shape arithmetic
+# forms p^i for every i <= n
+MAX_N = 64
+
+
+def json_int(data, key, what):
+    """data[key], which must be a JSON integer (not a bool, float, string or
+    null), and at most MAX_N for "n"; anything else is a ValueError naming
+    `what`. Module, tower spec and base JSON all read their ints through it."""
+    if key not in data:
+        raise ValueError(f"{what} JSON lacks key {key!r}")
+    value = data[key]
+    if type(value) is not int:
+        raise ValueError(f"{what} JSON {key!r} must be an integer, got {value!r}")
+    if key == "n" and value > MAX_N:
+        raise ValueError(f"{what} JSON 'n' must be at most {MAX_N}, got {value}")
+    return value

@@ -2,13 +2,15 @@
 
 Records, for each prime p, the largest k with a primitive p^k-th root of
 unity present. Two encodings: a cyclotomic field by its conductor
-(normalized odd or divisible by 4), or a finite field by its order.
+(normalized odd or divisible by 4), or a finite field by its order. The
+norm chain reads m of the canonical Kummer tower off that content.
 """
 
 from dataclasses import dataclass
 
-from .galois_module import json_int
-from .numtheory import factorize, valuation
+from .errors import InternalCheckError, MissingRootOfUnity
+from .mvalue import NEG_INF
+from .numtheory import factorize, is_prime, json_int, valuation
 
 
 @dataclass(frozen=True)
@@ -78,3 +80,28 @@ class RootOfUnityContent:
 
 
 _VALUE_KEYS = {"cyclotomic": "conductor", "finite_field": "order"}
+
+
+def m_from_root_content(base, p, n):
+    """m of the canonical degree-p^n Kummer tower over a base with the
+    given root-of-unity content.
+
+    The chain: xi_p is a norm from level n down to level i exactly when
+    xi_p is a p^(n-i)-th power of a root of unity in the base, i.e. when
+    xi_{p^(n-i+1)} is present. So with s the largest power present,
+    membership starts at level n-s+1 and m = n - s, or -infinity when s
+    exceeds n (membership already at level 0).
+    """
+    if not is_prime(p) or n < 1:
+        raise ValueError("p must be prime and n >= 1")
+    s = base.max_power(p)
+    if s < 1:
+        raise MissingRootOfUnity(
+            f"xi_{p} is not in {base.describe()}; m is undefined here"
+        )
+    members = [i for i in range(n + 1) if n - i + 1 <= s]
+    if members != list(range(members[0], n + 1)):
+        raise InternalCheckError("norm membership set is not upward closed")
+    if members[0] == 0:
+        return NEG_INF
+    return members[0] - 1

@@ -1,6 +1,5 @@
 """The bounded verification that unit-valued orbit norms of rational
-functions over F_l are exactly n-th powers, and the norm chain through
-root-of-unity content.
+functions over F_l are exactly n-th powers.
 
 The cyclic action sends mu_i to mu_(i+step), step = g/n, so it has order
 n. The orbit norm of w is the product of its n shifts; when that norm
@@ -14,8 +13,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import packing
-from .errors import InternalCheckError, MissingRootOfUnity, SearchSpaceTooLarge
-from .mvalue import NEG_INF
+from .errors import InternalCheckError, SearchSpaceTooLarge
 from .numtheory import is_prime
 
 # ---------------------------------------------------------------------------
@@ -191,33 +189,3 @@ def _kronecker_weights(g, degree):
             for t, x in new:
                 by_size[t].append(x)
     return weights
-
-
-# ---------------------------------------------------------------------------
-# the norm chain through root-of-unity content
-# ---------------------------------------------------------------------------
-
-
-def m_from_root_content(base, p, n):
-    """m of the canonical degree-p^n Kummer tower over a base with the
-    given root-of-unity content.
-
-    The chain: xi_p is a norm from level n down to level i exactly when
-    xi_p is a p^(n-i)-th power of a root of unity in the base, i.e. when
-    xi_{p^(n-i+1)} is present. So with s the largest power present,
-    membership starts at level n-s+1 and m = n - s, or -infinity when s
-    exceeds n (membership already at level 0).
-    """
-    if not is_prime(p) or n < 1:
-        raise ValueError("p must be prime and n >= 1")
-    s = base.max_power(p)
-    if s < 1:
-        raise MissingRootOfUnity(
-            f"xi_{p} is not in {base.describe()}; m is undefined here"
-        )
-    members = [i for i in range(n + 1) if n - i + 1 <= s]
-    if members != list(range(members[0], n + 1)):
-        raise InternalCheckError("norm membership set is not upward closed")
-    if members[0] == 0:
-        return NEG_INF
-    return members[0] - 1

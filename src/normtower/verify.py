@@ -3,7 +3,8 @@
 Each check is an executable form of one worked example or property suite;
 the same registry backs the verify-paper CLI subcommand and the acceptance
 test module. Checks are deterministic given a seed, use exact arithmetic
-throughout, and are reported sorted by check id.
+throughout, and are reported sorted by check id. Each check imports the
+modules it exercises, so `--only` loads no others.
 """
 
 import itertools
@@ -12,8 +13,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import cohomology, cyclic_algebra, fp_linalg, galois_module, m_invariant
-from . import padic, ufd_norm
 from .errors import InvalidShape
 from .mvalue import NEG_INF
 from .numtheory import factorize
@@ -91,6 +90,8 @@ def _divisors(a):
 
 def _check_quartic_seventeen(ctx):
     """a = 17, d = -1: every local certificate fires and m = 1."""
+    from . import m_invariant
+
     result = m_invariant.explain_m(m_invariant.BiquadraticSpec(17, -1))
     _expect(result.m == 1, f"expected m = 1, got {result.m_text}")
     _expect(
@@ -106,6 +107,8 @@ def _check_quartic_seventeen(ctx):
 
 def _check_dirichlet_residue(ctx):
     """Smallest Dirichlet primes and the residue certificate give m = 0."""
+    from . import m_invariant
+
     _expect(m_invariant.find_dirichlet_prime(2, 2) == 5)
     _expect(m_invariant.residue_norm_test(2, 2, 5) is False)
     _expect(m_invariant.compute_m(m_invariant.LocalCyclotomicSpec(2, 2, 5)) == 0)
@@ -117,6 +120,8 @@ def _check_dirichlet_residue(ctx):
 
 def _check_kummer_norm(ctx):
     """xi_p is the norm of xi_{p^(n+1)}, so every Kummer tower has m = -inf."""
+    from . import m_invariant
+
     for p, n in ((2, 1), (2, 2), (3, 1), (3, 2)):
         l = 3 if p == 2 else 2
         spec = m_invariant.LocalKummerSpec(p, n, l)
@@ -126,6 +131,8 @@ def _check_kummer_norm(ctx):
 
 def _check_realization_sweep(ctx):
     """Every value t in {-inf, 0, ..., n-1} arises from some tower spec."""
+    from . import m_invariant
+
     towers = 0
     for p in (2, 3):
         for n in range(1, 5):
@@ -148,6 +155,8 @@ def _check_realization_sweep(ctx):
 
 def _check_cocycle_suite(ctx):
     """Carrying cocycles: cocycle identity, explicit isomorphism, invariant."""
+    from . import cohomology
+
     triples = 0
     for a in range(1, 13):
         for b in _divisors(a):
@@ -178,6 +187,8 @@ def _check_cocycle_suite(ctx):
 
 def _check_classifier(ctx):
     """Shape -> module -> profile -> shape round trip, conjugation, oracle."""
+    from . import fp_linalg, galois_module
+
     roundtrips = 0
     small = []
     for p in (2, 3):
@@ -229,6 +240,8 @@ def _check_classifier(ctx):
 
 def _check_unit_norms(ctx):
     """Constant orbit norms of units are exactly the n-th powers."""
+    from . import ufd_norm
+
     def squares(l):
         return {x * x % l for x in range(1, l)}
 
@@ -244,6 +257,8 @@ def _check_unit_norms(ctx):
 
 def _check_index_ladder(ctx):
     """Index, centralizer dimension, and base degree along the tower."""
+    from . import cyclic_algebra, m_invariant
+
     rows_seen = 0
     for p in (2, 3, 5):
         for n in range(1, 6):
@@ -263,6 +278,8 @@ def _check_index_ladder(ctx):
 
 def _check_algebra_arithmetic(ctx):
     """Associativity, split certificates, and norm round trips."""
+    from . import cyclic_algebra
+
     rng = ctx.rng("algebra")
     certs = 0
     for l, d, r in ((3, 1, 2), (2, 1, 3), (5, 1, 2)):
@@ -294,6 +311,8 @@ def _check_algebra_arithmetic(ctx):
 
 def _check_hilbert_properties(ctx):
     """Symmetry, bilinearity, (a, -a) = 1, and the product formula."""
+    from . import padic
+
     rng = ctx.rng("hilbert")
     smalls = (2, 3, 5, 7, 11, 13)
 

@@ -79,6 +79,9 @@ def test_hilbert_zero_denominator_exits_1(capsys):
         ("7e-4301", "'7e-4301' has a numerator or denominator of more than 4300 digits"),
         # an exponent of 5,000 digits is compared by its length, not converted
         pytest.param("1e" + "9" * 5000, "has an exponent past 9302", id="exponent-of-5000-digits"),
+        # a run Fraction would not read: Python's own limit message before
+        pytest.param("9" * 5000, "has a run of more than 4300 digits", id="run-of-5000-digits"),
+        pytest.param("0." + "0" * 4300 + "1", "has a run of more than 4300 digits", id="decimals-of-4301-digits"),
     ],
 )
 def test_hilbert_oversized_rational_exits_1(capsys, value, message):
@@ -453,13 +456,13 @@ def test_verify_paper_subset(capsys):
 
 
 def test_internal_invariant_violation_exits_3(capsys, monkeypatch, tmp_path):
-    from normtower import cli
+    from normtower import m_invariant
     from normtower.errors import InternalCheckError
 
     def boom(spec):
         raise InternalCheckError("certificate oracles disagree")
 
-    monkeypatch.setattr(cli.m_invariant, "explain_m", boom)
+    monkeypatch.setattr(m_invariant, "explain_m", boom)
     spec = tmp_path / "spec.json"
     spec.write_text('{"variant": "biquadratic", "a": 17, "d": -1}')
     code, _, err = run(capsys, "m-compute", "--spec", str(spec))
@@ -469,7 +472,7 @@ def test_internal_invariant_violation_exits_3(capsys, monkeypatch, tmp_path):
     def type_error(spec):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setattr(cli.m_invariant, "explain_m", type_error)
+    monkeypatch.setattr(m_invariant, "explain_m", type_error)
     code, out, err = run(capsys, "m-compute", "--spec", str(spec))
     assert code == 3
     assert out == ""

@@ -5,6 +5,7 @@ import pytest
 
 from normtower.errors import FactorizationError
 from normtower.numtheory import (
+    MR_EXACT_BELOW,
     factorize,
     is_prime,
     legendre,
@@ -24,6 +25,9 @@ def test_is_prime_large_deterministic():
     assert not is_prime(2**67 - 1)
     # strong pseudoprime to base 2, caught by the extended base list
     assert not is_prime(3215031751)
+    # strong pseudoprimes to every base 2-37, and to 2-41
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(MR_EXACT_BELOW) and MR_EXACT_BELOW == 1287836182261 * 2575672364521
 
 
 def test_valuation():
@@ -61,6 +65,29 @@ def test_factorize_roundtrip_random():
 def test_factorize_rejects_huge_cofactor():
     with pytest.raises(FactorizationError):
         factorize((10**7 + 19) * (10**7 + 79))
+
+
+@pytest.mark.parametrize(
+    "n, digits",
+    [
+        (MR_EXACT_BELOW, 25),
+        # a prime that is_prime cannot prove
+        (10**30 + 57, 31),
+        (-(2**5) * (10**30 + 57) ** 2, 61),
+    ],
+)
+def test_factorize_refuses_a_cofactor_past_the_exact_bound(n, digits):
+    with pytest.raises(FactorizationError) as err:
+        factorize(Fraction(3, n))
+    assert str(err.value) == (
+        f"cofactor of {digits} digits survives trial division; "
+        f"primality is proved only below {MR_EXACT_BELOW}"
+    )
+
+
+def test_factorize_smooth_past_the_exact_bound():
+    assert factorize(10**4000) == (1, {2: 4000, 5: 4000})
+    assert factorize(Fraction(-(3**100), 7 * 2**90)) == (-1, {2: -90, 3: 100, 7: -1})
 
 
 def test_legendre():

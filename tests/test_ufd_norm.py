@@ -10,8 +10,8 @@ from normtower.errors import (
     SearchSpaceTooLarge,
 )
 from normtower.mvalue import NEG_INF
-from normtower.roots import RootOfUnityContent
-from normtower.ufd_norm import MAX_WORK, m_from_root_content, proposition_check
+from normtower.roots import RootOfUnityContent, m_from_root_content
+from normtower.ufd_norm import MAX_WORK, proposition_check
 from ufd_reference import PolyRing, orbit_norm, proposition_check_dict, rational_function
 
 
