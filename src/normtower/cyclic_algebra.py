@@ -12,43 +12,13 @@ exposed as exact integer identities.
 from dataclasses import dataclass
 from operator import mul
 
-from . import packing
+from . import _kernels, packing
 from .errors import InternalCheckError, SearchSpaceTooLarge
-from .numtheory import factorize, is_prime
+from .numtheory import is_prime
 
 # ---------------------------------------------------------------------------
 # finite fields F_{l^k}, elements encoded as integers in [0, l^k)
 # ---------------------------------------------------------------------------
-
-
-def _strip(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_rem(a, b, l):
-    # remainder of a modulo b, b nonzero, both little-endian
-    a, b = _strip(a), _strip(b)
-    inv = pow(b[-1], -1, l)
-    while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        f = a[-1] * inv % l
-        shift = len(a) - len(b)
-        for i in range(len(b)):
-            a[shift + i] = (a[shift + i] - f * b[i]) % l
-        a.pop()
-    return _strip(a)
-
-
-def _poly_gcd(a, b, l):
-    a, b = _strip(a), _strip(b)
-    while b:
-        a, b = b, _poly_rem(a, b, l)
-    return a
 
 
 class _Quotient:
@@ -95,10 +65,13 @@ class _Quotient:
     def _pack(self, e):
         return self._pack_digits(self._digits(e))
 
+    def _fields(self, v):
+        """The k digits of a packed element whose k fields are below l."""
+        return packing.from_fields(v.to_bytes(self._top // 8, "little"), self.l, self._size)
+
     def _unpack(self, v):
         """The encoding of a packed element whose k fields are below l."""
-        raw = v.to_bytes(self._top // 8, "little")
-        return sum(map(mul, packing.from_fields(raw, self.l, self._size), self._lpows))
+        return sum(map(mul, self._fields(v), self._lpows))
 
     def _reduce(self, v):
         return packing.reduce(v, self.l, self._m, self._s, self._qmask)
@@ -107,9 +80,7 @@ class _Quotient:
         v = self._reduce(u * v)
         high = v >> self._top
         if high:
-            raw = high.to_bytes(self._top // 8, "little")
-            folded = sum(map(mul, packing.from_fields(raw, self.l, self._size), self._folds))
-            v = self._reduce((v & self._low) + folded)
+            v = self._reduce((v & self._low) + sum(map(mul, self._fields(high), self._folds)))
         return v
 
     def add(self, a, b):
@@ -136,19 +107,22 @@ class _Quotient:
 
 
 def _is_irreducible(f, l):
-    # f monic little-endian of degree k; x^(l^k) = x mod f and, for each
-    # prime t | k, gcd(x^(l^(k/t)) - x, f) constant. x is encoded as l.
+    # f monic little-endian of degree k; x is encoded as l. x^(l^k) = x mod f
+    # makes f squarefree, and then f has k - rank(Q - I) irreducible factors,
+    # row i of Q being x^(l i) mod f (Berlekamp, Bell Syst. Tech. J. 46, 1967).
     k = len(f) - 1
     if k == 1:
         return True
     ring = _Quotient(l, f)
     if ring.pow(l, l**k) != l:
         return False
-    for t in factorize(k)[1]:
-        diff = ring.sub(ring.pow(l, l ** (k // t)), l)
-        if len(_poly_gcd(f, ring._digits(diff), l)) != 1:
-            return False
-    return True
+    xl, power, rows = ring._pack(ring.pow(l, l)), 1, []
+    for i in range(k):
+        digits = list(ring._fields(power))
+        digits[i] = (digits[i] - 1) % l
+        rows += digits
+        power = ring._mul_packed(power, xl)
+    return _kernels.rank(rows, k, k, l) == k - 1
 
 
 def find_irreducible(l, k):

@@ -59,7 +59,8 @@ class MissingRootOfUnity(NormTowerError):
 
 
 class FactorizationError(NormTowerError):
-    """An integer resisted factorization within the trial bound."""
+    """An integer resisted factorization within the trial bound, or its
+    primality could not be proved."""
 
 
 class InternalCheckError(NormTowerError):

@@ -73,19 +73,14 @@ def inverse(a):
     if a.rows != a.cols:
         raise NotInvertible("non-square matrix")
     n, p = a.rows, a.p
-    aug = []
-    for i in range(n):
-        aug.extend(a.row(i))
-        aug.extend(1 if j == i else 0 for j in range(n))
+    aug = [x for i in range(n) for x in a.row(i) + [int(i == j) for j in range(n)]]
     flat, _, pivots = _kernels.rref(aug, n, 2 * n, p)
     # the augmented matrix always has full row rank; invertibility means
     # every pivot lands in the left block
     left_rank = sum(1 for j in pivots if j < n)
     if left_rank < n:
         raise NotInvertible(f"matrix has rank {left_rank} < {n}")
-    inv = [0] * (n * n)
-    for i in range(n):
-        inv[i * n : (i + 1) * n] = flat[i * 2 * n + n : (i + 1) * 2 * n]
+    inv = [x for i in range(n) for x in flat[(2 * i + 1) * n : (2 * i + 2) * n]]
     return FpMatrix(p, n, n, inv)
 
 

@@ -80,9 +80,17 @@ class JordanProfile:
         return sum(self.sizes)
 
 
+# largest shape dimension, and so largest module synthesize builds, and the
+# largest module a file may give; c06 and the tests build at most 90, and the
+# rank sequence of one Jordan block takes 0.4-0.5 s at 512 and 2.0-2.8 s at
+# 1,024 (2-CPU VM, Python 3.11)
+MAX_DIM = 512
+
+
 @dataclass(frozen=True)
 class DecompositionShape:
-    """Free multiplicities y_i of blocks of size p^i, plus optional exceptional m."""
+    """Free multiplicities y_i of blocks of size p^i, plus optional exceptional m.
+    A total dimension past MAX_DIM raises SearchSpaceTooLarge."""
 
     p: int
     n: int
@@ -93,7 +101,7 @@ class DecompositionShape:
         p, n = self.p, self.n
         if n > MAX_N:
             raise ValueError(f"n must be at most {MAX_N}, got {n}")
-        if not is_prime(p) or n < 1:
+        if n < 1 or p < 2:
             raise InvalidShape("p must be prime and n >= 1")
         if len(self.free_ranks) != n + 1:
             raise InvalidShape(f"free_ranks needs exactly {n + 1} entries")
@@ -108,8 +116,16 @@ class DecompositionShape:
                     f"dimension p^{m}+1 = {p ** m + 1} is a power of {p}; "
                     "such a summand is free, not exceptional"
                 )
-        if self.total_dim < 1:
+        dim = self.total_dim
+        if dim < 1:
             raise InvalidShape("shape has total dimension 0")
+        # before the primality test, which refuses a p it cannot prove prime
+        if dim > MAX_DIM:
+            raise SearchSpaceTooLarge(
+                f"dimension {shown(dim, f'of {dim.bit_length()} bits')} > {MAX_DIM}"
+            )
+        if not is_prime(p):
+            raise InvalidShape("p must be prime and n >= 1")
 
     @property
     def exceptional_dim(self):
@@ -235,24 +251,10 @@ def _block_diagonal(p, sizes):
     return FpMatrix.from_rows(p, rows)
 
 
-# largest module synthesize builds or a module file may give; c06 and the
-# tests build at most 90, and the rank sequence of one Jordan block takes
-# 0.4-0.5 s at 512 and 2.0-2.8 s at 1,024 (2-CPU VM, Python 3.11)
-MAX_DIM = 512
-
-
 def synthesize(shape):
     """A canonical module realizing the shape: block diagonal, sizes descending.
-
-    Raises SearchSpaceTooLarge past MAX_DIM, before anything is allocated.
-    """
-    dim = shape.total_dim
-    if dim > MAX_DIM:
-        raise SearchSpaceTooLarge(
-            f"dimension {shown(dim, f'of {dim.bit_length()} bits')} > {MAX_DIM}"
-        )
-    sizes = shape.block_sizes()
-    return GModule(shape.p, shape.n, _block_diagonal(shape.p, sizes))
+    The shape's dimension is at most MAX_DIM."""
+    return GModule(shape.p, shape.n, _block_diagonal(shape.p, shape.block_sizes()))
 
 
 def module_from_profile(p, n, sizes):

@@ -283,14 +283,17 @@ def _variant(spec):
 
 
 def find_dirichlet_prime(p, n, limit=10**6):
-    """Smallest prime q with q = 1 + p^n mod p^(n+1); n is at most MAX_N."""
-    if not is_prime(p) or n < 1:
+    """Smallest prime q with q = 1 + p^n mod p^(n+1); n is at most MAX_N.
+    A limit below 1 + p^n is refused before p is tested."""
+    if n < 1:
         raise ValueError("p must be prime and n >= 1")
     if n > MAX_N:
         raise ValueError(f"n must be at most {MAX_N}, got {n}")
     start = 1 + p**n
     if limit < start:
         raise ValueError(f"limit {limit} is below 1 + p^n = {shown(start, f'1 + {p}^{n}')}")
+    if not is_prime(p):
+        raise ValueError("p must be prime and n >= 1")
     step = p ** (n + 1)
     q = start
     while q <= limit:

@@ -28,8 +28,8 @@ def shown(x, past=None):
 
 
 def is_prime(n):
-    """Miller-Rabin: exact below MR_EXACT_BELOW, a strong probable-prime
-    test above it."""
+    """Miller-Rabin, exact below MR_EXACT_BELOW; from there on a number that
+    passes every base is not proved prime and raises FactorizationError."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -51,6 +51,11 @@ def is_prime(n):
                 break
         else:
             return False
+    if n >= MR_EXACT_BELOW:
+        raise FactorizationError(
+            f"{shown(n)} passes every Miller-Rabin base; "
+            f"primality is proved only below {MR_EXACT_BELOW}"
+        )
     return True
 
 

@@ -4,7 +4,8 @@ A vector of residues becomes the int sum of v_i 2^(w i), w = 8 size, so a
 sum of scaled vectors, or the product of two packed polynomials (Kronecker
 substitution), is a few big-int operations in C instead of a Python loop
 over entries, as in Dumas, Fousse and Salvy (J. Symb. Comput. 46(7), 2011).
-Three callers share it: the rank-sequence kernel (rows of a matrix), the
+Three callers share it: the F_p matrix kernels of _kernels (rows of a
+matrix, for the product, row reduction and the rank sequence), the
 finite-field arithmetic of cyclic_algebra (polynomials mod an irreducible)
 and the orbit norms of ufd_norm (multivariate polynomials).
 """

@@ -65,7 +65,7 @@ def proposition_check(l, n, deg_bound, g=None):
         raise SearchSpaceTooLarge("group order beyond 3 is out of desk range")
     if deg_bound > 2:
         raise SearchSpaceTooLarge("degree bound beyond 2 is out of desk range")
-    g = g or n
+    g = n if g is None else g
     if not is_prime(l):
         raise ValueError(f"{l} is not prime")
     if n < 1 or g < 1 or g % n:

@@ -281,11 +281,37 @@ def test_usage_errors_exit_1(capsys):
     # argparse hands "--p=--" over as an empty list, not as a string
     assert run(capsys, "find-prime", "--p=--", "--n", "1")[:2] == (1, "")
     assert run(capsys)[0] == 1
+    # g = 0 is not a default for g = n
+    argv = ["ufd-check", "--l", "3", "--n", "2", "--deg", "1", "--g", "0"]
+    assert run(capsys, *argv) == (1, "", "error: need n >= 1 and n | g\n")
 
 
 def test_domain_verdicts_exit_2(capsys):
     code, _, err = run(capsys, "find-prime", "--p", "3", "--n", "1", "--limit", "12")
     assert code == 2 and "NotFoundBelowLimit" in err
+
+
+# MR_EXACT_BELOW = 1287836182261 * 2575672364521 passes every Miller-Rabin
+# base, and from it on a number that does is refused, not taken as prime
+UNPROVED = "3317044064679887385961981"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "--a", "2", "--b", "3", "--place", UNPROVED],
+        ["synthesize", "--p", UNPROVED, "--n", "1", "--free-ranks", "1,0"],
+        ["find-prime", "--p", UNPROVED, "--n", "1", "--limit", str(10**53)],
+    ],
+    ids=["hilbert", "synthesize", "find-prime"],
+)
+def test_unproved_prime_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"FactorizationError: {UNPROVED} passes every Miller-Rabin base; "
+        f"primality is proved only below {UNPROVED}\n"
+    )
 
 
 def test_m_compute_biquadratic(capsys, tmp_path):

@@ -34,8 +34,9 @@ CLI = {"normtower", "normtower.cli", "normtower.errors", "normtower.mvalue", "no
         (["decompose", "module.json"], {"galois_module", "fp_linalg", "_kernels", "packing"}),
         (["m-compute", "--spec", "spec.json"], {"m_invariant", "roots"}),
         (["verify-paper", "--only", "c05"], {"verify", "roots", "cohomology"}),
+        (["algebra", "--l", "2", "--d", "1", "--r", "3", "--b", "1"], {"cyclic_algebra", "_kernels", "packing"}),
     ],
-    ids=["import", "hilbert", "cocycle-check", "decompose", "m-compute", "verify-paper-c05"],
+    ids=["import", "hilbert", "cocycle-check", "decompose", "m-compute", "verify-paper-c05", "algebra"],
 )
 def test_loaded_modules(tmp_path, argv, extra):
     (tmp_path / "module.json").write_text('{"p": 2, "n": 2, "sigma": [[1, 1], [0, 1]]}')

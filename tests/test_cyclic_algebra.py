@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from normtower import _kernels
 from normtower.cyclic_algebra import (
     MAX_FIELD_ORDER,
+    _is_irreducible,
     FiniteField,
     FiniteFieldTower,
     algebra_element,
@@ -21,7 +23,7 @@ from normtower.cyclic_algebra import (
     split_certificate,
 )
 from normtower.errors import InternalCheckError, SearchSpaceTooLarge
-from field_reference import DigitField
+from field_reference import DigitField, poly_mod
 
 
 def test_lex_least_moduli_frozen():
@@ -29,6 +31,47 @@ def test_lex_least_moduli_frozen():
     assert find_irreducible(3, 2) == (1, 0, 1)
     assert find_irreducible(2, 3) == (1, 1, 0, 1)
     assert find_irreducible(5, 2) == (2, 0, 1)
+
+
+def monic(l, k):
+    """Every monic polynomial of degree k over F_l, little-endian."""
+    return [list(c) + [1] for c in itertools.product(range(l), repeat=k)]
+
+
+def irreducible_by_trial_division(f, l):
+    k = len(f) - 1
+    return not any(
+        not any(poly_mod(f, g, l)) for d in range(1, k // 2 + 1) for g in monic(l, d)
+    )
+
+
+@pytest.mark.parametrize("l, top", [(2, 6), (3, 6), (5, 3), (7, 3)])
+def test_irreducibility_against_trial_division(l, top):
+    for k in range(1, top + 1):
+        for f in monic(l, k):
+            assert _is_irreducible(f, l) == irreducible_by_trial_division(f, l), f
+
+
+@pytest.mark.parametrize(
+    "l, square",
+    [
+        (3, [1, 0, 2, 0, 1]),  # (x^2 + 1)^2
+        (2, [1, 0, 1, 0, 0, 0, 1]),  # (x^3 + x + 1)^2
+        (5, [4, 4, 1]),  # (x + 2)^2
+    ],
+)
+def test_squares_of_irreducibles_are_rejected(l, square):
+    # Berlekamp's count alone sees one factor: rank(Q - I) = k - 1 with row i
+    # of Q the digits of x^(l i) mod f. x^(l^k) = x mod f is what rejects it.
+    k = len(square) - 1
+    field = DigitField(l, square)
+    rows = []
+    for i in range(k):
+        digits = field.decode(field.pow(l, l * i))
+        rows += [(c - (j == i)) % l for j, c in enumerate(digits)]
+    assert _kernels.rank(rows, k, k, l) == k - 1
+    assert field.pow(l, l**k) != l
+    assert not _is_irreducible(square, l)
 
 
 def test_field_arithmetic_basics():

@@ -27,7 +27,19 @@ def test_is_prime_large_deterministic():
     assert not is_prime(3215031751)
     # strong pseudoprimes to every base 2-37, and to 2-41
     assert not is_prime(318665857834031151167461)
-    assert is_prime(MR_EXACT_BELOW) and MR_EXACT_BELOW == 1287836182261 * 2575672364521
+    assert MR_EXACT_BELOW == 1287836182261 * 2575672364521
+    # a composite past the exact bound is still False
+    assert not is_prime((2**89 - 1) * (2**61 - 1))
+
+
+@pytest.mark.parametrize("n", [MR_EXACT_BELOW, 2**89 - 1, 10**30 + 57])
+def test_is_prime_refuses_what_it_cannot_prove(n):
+    # MR_EXACT_BELOW passes every base but is composite; the others are prime
+    with pytest.raises(FactorizationError) as err:
+        is_prime(n)
+    assert str(err.value) == (
+        f"{n} passes every Miller-Rabin base; primality is proved only below {MR_EXACT_BELOW}"
+    )
 
 
 def test_valuation():
