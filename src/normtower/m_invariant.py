@@ -13,13 +13,14 @@ from dataclasses import dataclass, fields
 
 from .errors import (
     CrossCheckMismatch,
+    FactorizationError,
     InadmissibleSpec,
     InternalCheckError,
     MissingRootOfUnity,
     NotFoundBelowLimit,
 )
 from .mvalue import NEG_INF, UNDETERMINED, UNDETERMINED_LE0, format_m
-from .numtheory import MAX_N, factorize, is_prime, json_int, shown, valuation
+from .numtheory import _MR_BASES, MAX_N, factorize, is_prime, json_int, shown, valuation
 from .roots import RootOfUnityContent, m_from_root_content
 
 # padic (biquadratic only) and galois_module (cross_check_profile only) are
@@ -297,12 +298,28 @@ def find_dirichlet_prime(p, n, limit=10**6):
     step = p ** (n + 1)
     q = start
     while q <= limit:
-        if is_prime(q):
+        if _is_candidate_prime(q, p, start - 1):
             return q
         q += step
     raise NotFoundBelowLimit(
         f"no prime = 1 + {p}^{n} mod {p}^{n + 1} up to {limit}"
     )
+
+
+def _is_candidate_prime(q, p, pn):
+    """is_prime(q) for q = 1 + k p^n, where pn = p^n. Past is_prime's exact
+    bound a q that passes every Miller-Rabin base is proved prime by
+    Pocklington's criterion when pn^2 > q: a base a with a^(q-1) = 1 and
+    gcd(a^((q-1)/p) - 1, q) = 1 makes p^n divide r - 1 for every prime r
+    dividing q, so r > sqrt(q). If no base does, is_prime's refusal stands."""
+    try:
+        return is_prime(q)
+    except FactorizationError:
+        if pn * pn > q:
+            for a in _MR_BASES:
+                if pow(a, q - 1, q) == 1 and math.gcd(pow(a, (q - 1) // p, q) - 1, q) == 1:
+                    return True
+        raise
 
 
 def residue_norm_test(p, n, q):

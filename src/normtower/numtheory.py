@@ -84,13 +84,7 @@ def factorize(n):
     sign = 1 if n > 0 else -1
     factors = {}
     for value, unit in ((n.numerator, 1), (n.denominator, -1)):
-        value = abs(value)
-        for p in _small_primes(value):
-            k = valuation(value, p)
-            value //= p**k
-            factors[p] = factors.get(p, 0) + unit * k
-            if value == 1:
-                break
+        value = _trial_divide(abs(value), unit, factors)
         if value >= MR_EXACT_BELOW:
             digits = len(str(value)) if value < PRINTABLE else f"more than {PRINTABLE_DIGITS}"
             raise FactorizationError(
@@ -107,14 +101,22 @@ def factorize(n):
     return sign, {p: e for p, e in sorted(factors.items()) if e}
 
 
-def _small_primes(value):
-    if value % 2 == 0:
-        yield 2
-    d = 3
+def _trial_divide(value, unit, factors):
+    """Divide the positive int value by every prime d <= _TRIAL_BOUND with
+    d * d at most what is left, adding unit * v_d to factors[d]. A cofactor
+    left below d * d is prime and is added too; the cofactor returned is 1
+    or has no prime factor up to _TRIAL_BOUND."""
+    d = 2
     while d * d <= value and d <= _TRIAL_BOUND:
         if value % d == 0:
-            yield d
-        d += 2
+            k = valuation(value, d)
+            value //= d**k
+            factors[d] = factors.get(d, 0) + unit * k
+        d += 1 if d == 2 else 2
+    if 1 < value < d * d:
+        factors[value] = factors.get(value, 0) + unit
+        return 1
+    return value
 
 
 def legendre(a, p):

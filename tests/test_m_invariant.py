@@ -6,6 +6,7 @@ import pytest
 from normtower import galois_module
 from normtower.errors import (
     CrossCheckMismatch,
+    FactorizationError,
     InadmissibleSpec,
     NotFoundBelowLimit,
 )
@@ -66,6 +67,16 @@ def test_find_dirichlet_prime():
         find_dirichlet_prime(3, 1, limit=12)
     with pytest.raises(ValueError):
         find_dirichlet_prime(3, 1, limit=2)
+
+
+def test_find_dirichlet_prime_proves_candidates_past_the_exact_bound():
+    # q - 1 = 100 * 3^64 and (3^64)^2 > q: Pocklington's criterion with base 2
+    assert find_dirichlet_prime(3, 64, limit=10**40) == 1 + 100 * 3**64
+    # with n = 1 the candidates pass p^2, so p^n proves nothing and the
+    # Miller-Rabin refusal stands
+    with pytest.raises(FactorizationError) as err:
+        find_dirichlet_prime(2000000000003, 1, limit=10**30)
+    assert str(err.value).startswith("68000000000206000000000157 passes every")
 
 
 def test_residue_norm_test_examples():

@@ -75,8 +75,11 @@ def test_factorize_roundtrip_random():
 
 
 def test_factorize_rejects_huge_cofactor():
-    with pytest.raises(FactorizationError):
-        factorize((10**7 + 19) * (10**7 + 79))
+    composite = (10**7 + 19) * (10**7 + 79)
+    for smooth in (1, 2**40):
+        with pytest.raises(FactorizationError) as err:
+            factorize(smooth * composite)
+        assert str(err.value) == f"composite cofactor {composite} exceeds trial bound"
 
 
 @pytest.mark.parametrize(
@@ -86,6 +89,7 @@ def test_factorize_rejects_huge_cofactor():
         # a prime that is_prime cannot prove
         (10**30 + 57, 31),
         (-(2**5) * (10**30 + 57) ** 2, 61),
+        (3**30 * (10**30 + 57), 31),
     ],
 )
 def test_factorize_refuses_a_cofactor_past_the_exact_bound(n, digits):
@@ -100,6 +104,21 @@ def test_factorize_refuses_a_cofactor_past_the_exact_bound(n, digits):
 def test_factorize_smooth_past_the_exact_bound():
     assert factorize(10**4000) == (1, {2: 4000, 5: 4000})
     assert factorize(Fraction(-(3**100), 7 * 2**90)) == (-1, {2: -90, 3: 100, 7: -1})
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (2**40 * 1000003, (1, {2: 40, 1000003: 1})),
+        (3**30 * 999983, (1, {3: 30, 999983: 1})),
+        (Fraction(-(5**12), 7 * 1000003), (-1, {5: 12, 7: -1, 1000003: -1})),
+        (999983 * 1000003, (1, {999983: 1, 1000003: 1})),
+        (2 * 999983**2, (1, {2: 1, 999983: 2})),
+    ],
+)
+def test_factorize_smooth_times_prime(n, expected):
+    # trial division stops once d * d passes the cofactor left, not n
+    assert factorize(n) == expected
 
 
 def test_legendre():
