@@ -230,25 +230,18 @@ def decompose(mod):
 # ---------------------------------------------------------------------------
 
 
-def _jordan_block(p, size):
-    rows = [[0] * size for _ in range(size)]
-    for i in range(size):
-        rows[i][i] = 1
-        if i + 1 < size:
-            rows[i][i + 1] = 1
-    return rows
-
-
 def _block_diagonal(p, sizes):
+    """sigma with one Jordan block per size: ones on the diagonal and on the
+    superdiagonal inside each block."""
     dim = sum(sizes)
-    rows = [[0] * dim for _ in range(dim)]
+    flat = [0] * (dim * dim)
+    flat[:: dim + 1] = [1] * dim
     at = 0
     for s in sizes:
-        blk = _jordan_block(p, s)
-        for i in range(s):
-            rows[at + i][at : at + s] = blk[i]
+        for i in range(at, at + s - 1):
+            flat[i * (dim + 1) + 1] = 1
         at += s
-    return FpMatrix.from_rows(p, rows)
+    return FpMatrix(p, dim, dim, flat)
 
 
 def synthesize(shape):

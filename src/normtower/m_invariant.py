@@ -328,19 +328,18 @@ def residue_norm_test(p, n, q):
     The p^n-th powers form the subgroup of order (q-1)/p^n of the cyclic
     group F_q^x, which holds an element of order p iff p divides that
     order. The precondition q = 1 + p^n mod p^(n+1) makes v_p(q - 1) = n,
-    so (q-1)/p^n = 1 mod p and the answer is always False.
+    so (q-1)/p^n = 1 mod p and the answer is always False. The congruence
+    makes p^n divide q - 1, so a q past is_prime's exact bound is proved
+    prime the way find_dirichlet_prime proves its candidates. Off the class
+    q keeps plain is_prime, so a composite q is reported as not prime
+    before the class is checked.
     """
-    _require(is_prime(q), "q = {} is not prime", q)
-    _require(
-        q % p ** (n + 1) == (1 + p**n) % p ** (n + 1),
-        "q = {} is not 1 + {}^{} mod {}^{}",
-        q,
-        p,
-        n,
-        p,
-        n + 1,
-    )
-    return (q - 1) // p**n % p == 0
+    pn = p**n
+    congruent = q % (p * pn) == (1 + pn) % (p * pn)
+    proved = _is_candidate_prime(q, p, pn) if congruent else is_prime(q)
+    _require(proved, "q = {} is not prime", q)
+    _require(congruent, "q = {} is not 1 + {}^{} mod {}^{}", q, p, n, p, n + 1)
+    return (q - 1) // pn % p == 0
 
 
 def index_bound_check(m, ind, p=None):

@@ -1,7 +1,10 @@
 """The digit-list arithmetic of F_{l^k} that FiniteField used before its
 packed route, kept as a test oracle: elements decode to base-l digit
 lists, a product is a schoolbook polynomial product reduced by the monic
-modulus, and Frobenius is a square-and-multiply power a^(l^times)."""
+modulus, and Frobenius is a square-and-multiply power a^(l^times). On
+it sit the regular representation of a cyclic-algebra element and a
+Gaussian-elimination determinant: a route to the singularity of a split
+certificate's zero divisor that shares nothing with the packed field."""
 
 
 def poly_mul(a, b, l):
@@ -64,3 +67,43 @@ class DigitField:
 
     def frobenius(self, a, times=1):
         return self.pow(a, self.l**times)
+
+
+def regular_representation(field, d, b, coeffs):
+    """Matrix over L of left multiplication by sum u^i c_i in the cyclic
+    algebra (L/E, tau, b), tau = Frobenius^d, on the right-L-basis
+    u^0, ..., u^(r-1). Column j is u^i c_i u^j = u^(i+j) tau^j(c_i) summed
+    over i, with u^(i+j) reduced by u^r = b; the product x y then has
+    coefficients M(x) times those of y."""
+    r = len(coeffs)
+    mat = [[0] * r for _ in range(r)]
+    for j in range(r):
+        for i, c in enumerate(coeffs):
+            val = field.frobenius(c, d * j)
+            if i + j >= r:
+                val = field.mul(val, b)
+            row = (i + j) % r
+            mat[row][j] = field.add(mat[row][j], val)
+    return mat
+
+
+def field_det(field, rows):
+    """Determinant over the field by Gaussian elimination."""
+    n = len(rows)
+    m = [list(row) for row in rows]
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = field.sub(0, det)
+        det = field.mul(det, m[c][c])
+        inv = field.pow(m[c][c], field.l**field.k - 2)
+        for i in range(c + 1, n):
+            if m[i][c]:
+                fac = field.mul(m[i][c], inv)
+                for j in range(c, n):
+                    m[i][j] = field.sub(m[i][j], field.mul(fac, m[c][j]))
+    return det

@@ -314,6 +314,24 @@ def test_unproved_prime_exits_2(capsys, argv):
     )
 
 
+def test_m_compute_takes_the_prime_find_prime_proves(capsys, tmp_path):
+    # q - 1 = 100 * 3^64: Pocklington proves q past MR_EXACT_BELOW in both commands
+    q = "343368382029251248465784908928101"
+    code, out, _ = run(capsys, "find-prime", "--p", "3", "--n", "64", "--limit", str(10**40))
+    assert (code, out.split()) == (0, [q])
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"variant": "local_cyclotomic", "p": 3, "n": 64, "q": int(q)}))
+    code, out, _ = run(capsys, "m-compute", "--spec", str(spec_file), "--format", "json")
+    assert code == 0 and json.loads(out)["m"] == "0"
+    # q - 1 = 17 p^2 + p with p^2 < q: no base proves q, so the refusal stands
+    q = "68000000000206000000000157"
+    spec = {"variant": "local_cyclotomic", "p": 2000000000003, "n": 1, "q": int(q)}
+    spec_file.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "m-compute", "--spec", str(spec_file))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"FactorizationError: {q} passes every Miller-Rabin base")
+
+
 def test_m_compute_biquadratic(capsys, tmp_path):
     spec_file = tmp_path / "biq.json"
     spec_file.write_text(json.dumps({"variant": "biquadratic", "a": 17, "d": -1}))

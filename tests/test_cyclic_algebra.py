@@ -1,9 +1,10 @@
+import functools
 import itertools
 import random
 
 import pytest
 
-from normtower import _kernels
+from normtower import _kernels, cyclic_algebra
 from normtower.cyclic_algebra import (
     MAX_FIELD_ORDER,
     _is_irreducible,
@@ -13,17 +14,18 @@ from normtower.cyclic_algebra import (
     ca_add,
     ca_mul,
     ca_one,
-    ca_pow,
-    ca_sub,
-    field_det,
     find_irreducible,
     index_ladder,
-    regular_representation,
     solve_norm,
     split_certificate,
 )
 from normtower.errors import InternalCheckError, SearchSpaceTooLarge
-from field_reference import DigitField, poly_mod
+from field_reference import DigitField, field_det, poly_mod, regular_representation
+
+
+def packed_mul(field, a, b):
+    """The product ca_mul runs: one packed multiply with its fold."""
+    return field._unpack(field._mul_packed(field._pack(a), field._pack(b)))
 
 
 def test_lex_least_moduli_frozen():
@@ -78,14 +80,16 @@ def test_field_arithmetic_basics():
     f9 = FiniteField(3, 2)
     assert f9.order == 9
     # x * x = -1 = 2 with modulus x^2 + 1; x encodes as 3
-    assert f9.mul(3, 3) == 2
+    assert packed_mul(f9, 3, 3) == 2
     for a in range(1, 9):
-        assert f9.mul(a, f9.inv(a)) == 1
+        assert packed_mul(f9, a, f9.inv(a)) == 1
     rng = random.Random(14)
     for _ in range(50):
         a, b = rng.randrange(9), rng.randrange(9)
         assert f9.frobenius(f9.add(a, b)) == f9.add(f9.frobenius(a), f9.frobenius(b))
-        assert f9.frobenius(f9.mul(a, b)) == f9.mul(f9.frobenius(a), f9.frobenius(b))
+        assert f9.frobenius(packed_mul(f9, a, b)) == packed_mul(
+            f9, f9.frobenius(a), f9.frobenius(b)
+        )
 
 
 ORACLE_FIELDS = (
@@ -109,17 +113,16 @@ def test_packed_field_agrees_with_digit_list_oracle(l, k):
     pairs = [(a, b) for a in elems + heavy for b in elems + heavy]
     pairs += [(rng.randrange(field.order), rng.randrange(field.order)) for _ in range(40)]
     for a, b in pairs:
-        assert field.mul(a, b) == ref.mul(a, b)
+        assert packed_mul(field, a, b) == ref.mul(a, b)
         assert field.add(a, b) == ref.add(a, b)
-        assert field.sub(a, b) == ref.sub(a, b)
     for a in elems[:4] + elems[-2:]:
         for times in range(2 * k + 1):
             assert field.frobenius(a, times) == ref.frobenius(a, times)
     # both routes read any int as its class mod l^k
     for a in (-1, -l, field.order, field.order + l + 1):
         for b in (-2, 1, top):
-            assert field.mul(a, b) == ref.mul(a, b)
-            assert field.sub(a, b) == ref.sub(a, b)
+            assert packed_mul(field, a, b) == ref.mul(a, b)
+            assert field.add(a, b) == ref.add(a, b)
         assert field.frobenius(a) == ref.frobenius(a)
     # tau = Frobenius^d on L = F_(l^k) over E = F_(l^d), of order r = k / d
     for d in (d for d in range(1, k) if k % d == 0 and k // d >= 2):
@@ -142,7 +145,7 @@ def test_packed_mul_covers_every_field_sum_on_tight_fields():
         ]
         for a in range(field.order):
             for b in multipliers:
-                assert field.mul(a, b) == ref.mul(a, b)
+                assert packed_mul(field, a, b) == ref.mul(a, b)
 
 
 def test_tower_tau_and_base():
@@ -193,7 +196,7 @@ def test_u_relations():
             return algebra_element(tower, b, (c, 0))
 
         # u^r equals the scalar b
-        assert ca_pow(u, 2) == scalar(b)
+        assert ca_mul(u, u) == scalar(b)
         # u c = tau(c) u for every scalar c
         for c in range(1, 9):
             left = ca_mul(u, scalar(c))
@@ -231,33 +234,53 @@ def test_element_validation():
 
 
 def test_regular_representation_multiplicative():
+    # det M(x y) = det M(x) det M(y) on the reference, with x y from ca_mul
     rng = random.Random(41)
     tower = FiniteFieldTower(3, 1, 2)
-    f = tower.field
+    ref = DigitField(3, tower.field.modulus)
+
+    def det(x):
+        return field_det(ref, regular_representation(ref, tower.d, x.b, x.coeffs))
+
     for _ in range(25):
         b = rng.choice((1, 2))
         x = algebra_element(tower, b, [rng.randrange(9) for _ in range(2)])
         y = algebra_element(tower, b, [rng.randrange(9) for _ in range(2)])
-        dx, dy = field_det(f, regular_representation(x)), field_det(
-            f, regular_representation(y)
-        )
-        assert field_det(f, regular_representation(ca_mul(x, y))) == f.mul(dx, dy)
+        assert det(ca_mul(x, y)) == ref.mul(det(x), det(y))
 
 
 def test_split_certificate_properties():
-    rng = random.Random(13)
-    for l, d, r in ((3, 1, 2), (2, 1, 3), (5, 1, 2)):
+    for l, d, r in ((3, 1, 2), (2, 1, 3), (5, 1, 2), (2, 2, 2), (2, 1, 4)):
         tower = FiniteFieldTower(l, d, r)
-        units = [e for e in tower.base_elements() if e]
-        for b in units:
+        ref = DigitField(l, tower.field.modulus)
+        for b in (e for e in tower.base_elements() if e):
             cert = split_certificate(tower, b)
             assert tower.norm(cert.w) == b
-            one = ca_one(tower, b)
-            assert ca_sub(ca_pow(cert.v, r), one).is_zero()
+            assert functools.reduce(ca_mul, [cert.v] * r) == ca_one(tower, b)
             assert not cert.z.is_zero()
-            assert ca_mul(ca_sub(cert.v, one), cert.z).is_zero()
-            assert field_det(tower.field, regular_representation(cert.z)) == 0
-        rng.shuffle(units)
+            # v - 1 is nonzero and z (v - 1) = 0, by ca_mul and on the reference
+            v_minus_1 = [ref.sub(c, int(i == 0)) for i, c in enumerate(cert.v.coeffs)]
+            assert any(v_minus_1)
+            assert ca_mul(cert.z, algebra_element(tower, b, v_minus_1)).is_zero()
+            mat = regular_representation(ref, d, b, cert.z.coeffs)
+            for row in mat:
+                assert functools.reduce(ref.add, map(ref.mul, row, v_minus_1)) == 0
+            assert field_det(ref, mat) == 0
+
+
+def test_broken_certificate_raises(monkeypatch):
+    tower = FiniteFieldTower(5, 1, 2)
+    split_certificate(tower, 2)
+    # a sum that drops its second term leaves z = 1, and v 1 != 1
+    with monkeypatch.context() as m:
+        m.setattr(cyclic_algebra, "ca_add", lambda x, y: x)
+        with pytest.raises(InternalCheckError, match="v z != z"):
+            split_certificate(tower, 2)
+    # v = u w instead of u w^(-1) has v^2 = b^2 = 4
+    with monkeypatch.context() as m:
+        m.setattr(FiniteField, "inv", lambda self, a: a)
+        with pytest.raises(InternalCheckError, match="v\\^r != 1"):
+            split_certificate(tower, 2)
 
 
 def test_split_certificate_norms_only_the_scan_and_its_preimage(monkeypatch):

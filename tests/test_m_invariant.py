@@ -86,6 +86,8 @@ def test_residue_norm_test_examples():
         residue_norm_test(2, 2, 7)  # wrong congruence class
     with pytest.raises(InadmissibleSpec):
         residue_norm_test(2, 2, 21)  # not prime
+    # past MR_EXACT_BELOW, proved as find_dirichlet_prime proves it
+    assert residue_norm_test(3, 64, 1 + 100 * 3**64) is False
 
 
 def residue_norm_exhaustive(p, n, q):
