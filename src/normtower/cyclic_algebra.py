@@ -7,6 +7,10 @@ Over finite fields the norm is surjective, so every such algebra splits;
 the splitting is certified by an explicit zero divisor built from a norm
 preimage of b. The degree/index bookkeeping of the centralizer ladder is
 exposed as exact integer identities.
+
+A field element stays in one format here, the packed int of _Quotient; the
+base-l encoding a user reads and writes is formed only at the edges:
+FiniteFieldTower, algebra_element and AlgebraElement.coeffs.
 """
 
 from dataclasses import dataclass
@@ -17,20 +21,21 @@ from .errors import InternalCheckError, SearchSpaceTooLarge
 from .numtheory import is_prime
 
 # ---------------------------------------------------------------------------
-# finite fields F_{l^k}, elements encoded as integers in [0, l^k)
+# finite fields F_{l^k}, elements packed one field per coefficient
 # ---------------------------------------------------------------------------
 
 
 class _Quotient:
     """F_l[x]/(f) for a monic f = (f_0, ..., f_(k-1), 1) of degree k >= 1.
 
-    An element is encoded as sum c_i l^i; inside, it is packed as
-    sum c_i 2^(w i), one packing field per coefficient. A product is then
-    one big-int multiply (Kronecker substitution): field t of the product
-    holds sum_(i+j=t) a_i b_j, at most k products, so one packing.reduce
-    brings all 2k - 1 fields below l. The top k - 1 fields c_(k+t) fold in
-    as c_(k+t) (x^(k+t) mod f), k - 1 more products per field, and a
-    second reduce.
+    Every operation takes and returns sum c_i x^i packed as sum c_i 2^(w i),
+    one packing field per coefficient, each below l; encode and decode
+    convert from and to the encoding sum c_i l^i. A product is one big-int
+    multiply (Kronecker substitution): field t of the product holds
+    sum_(i+j=t) a_i b_j, at most k products, so one packing.reduce brings
+    all 2k - 1 fields below l. The top k - 1 fields c_(k+t) fold in as
+    c_(k+t) (x^(k+t) mod f), k - 1 more products per field, and a second
+    reduce.
     """
 
     def __init__(self, l, modulus):
@@ -42,77 +47,75 @@ class _Quotient:
         self._top = 8 * self._size * k
         self._low = (1 << self._top) - 1
         self._lpows = [l**i for i in range(k)]
+        self._shifts = [8 * self._size * i for i in range(k)]
         # x^(k+t) mod f for t < k - 1, from x^k = -(f_0 + ... + f_(k-1) x^(k-1))
         folds, power = [], [-c % l for c in modulus[:k]]
         for _ in range(k - 1):
-            folds.append(self._pack_digits(power))
+            folds.append(sum(c << shift for c, shift in zip(power, self._shifts)))
             top = power[-1]
             power = [(low - top * c) % l for low, c in zip([0] + power[:-1], modulus)]
         self._folds = folds
-
-    def _digits(self, e):
-        """The k base-l digits of e mod l^k, low first."""
-        l, out = self.l, []
-        for _ in range(self.k):
-            e, c = divmod(e, l)
-            out.append(c)
-        return out
-
-    def _pack_digits(self, digits):
-        return int.from_bytes(packing.to_fields(digits, self.l, self._size), "little")
-
-    def _pack(self, e):
-        return self._pack_digits(self._digits(e))
 
     def _fields(self, v):
         """The k digits of a packed element whose k fields are below l."""
         return packing.from_fields(v.to_bytes(self._top // 8, "little"), self.l, self._size)
 
-    def _unpack(self, v):
-        """The encoding of a packed element whose k fields are below l."""
-        return sum(map(mul, self._fields(v), self._lpows))
-
     def _reduce(self, v):
         return packing.reduce(v, self.l, self._m, self._s, self._qmask)
 
-    def _mul_packed(self, u, v):
+    def encode(self, e):
+        """The packed element of the encoding e, any int read mod l^k."""
+        l, v = self.l, 0
+        for shift in self._shifts:
+            e, c = divmod(e, l)
+            v |= c << shift
+        return v
+
+    def decode(self, v):
+        """The encoding in [0, l^k) of a packed element."""
+        return sum(map(mul, self._fields(v), self._lpows))
+
+    def mul(self, u, v):
         v = self._reduce(u * v)
         high = v >> self._top
         if high:
             v = self._reduce((v & self._low) + sum(map(mul, self._fields(high), self._folds)))
         return v
 
-    def add(self, a, b):
-        return self._unpack(self._reduce(self._pack(a) + self._pack(b)))
+    def add(self, *terms):
+        """The sum of at most k + 1 packed elements: its fields stay below
+        (k + 1) l, within the bound of layout, so one reduce suffices."""
+        return self._reduce(sum(terms))
 
     def pow(self, a, e):
-        """a^e for e >= 0, squaring on the packed form."""
-        result, base = 1, self._pack(a)
+        """a^e for e >= 0, by squaring."""
+        result = 1
         while e:
             if e & 1:
-                result = self._mul_packed(result, base)
+                result = self.mul(result, a)
             e >>= 1
             if e:
-                base = self._mul_packed(base, base)
-        return self._unpack(result)
+                a = self.mul(a, a)
+        return result
 
 
 def _is_irreducible(f, l):
-    # f monic little-endian of degree k; x is encoded as l. x^(l^k) = x mod f
-    # makes f squarefree, and then f has k - rank(Q - I) irreducible factors,
-    # row i of Q being x^(l i) mod f (Berlekamp, Bell Syst. Tech. J. 46, 1967).
+    # f monic little-endian of degree k. x^(l^k) = x mod f makes f
+    # squarefree, and then f has k - rank(Q - I) irreducible factors, row i
+    # of Q being x^(l i) mod f (Berlekamp, Bell Syst. Tech. J. 46, 1967).
     k = len(f) - 1
     if k == 1:
         return True
     ring = _Quotient(l, f)
-    if ring.pow(l, l**k) != l:
+    x = ring.encode(l)
+    if ring.pow(x, l**k) != x:
         return False
-    xl, power, rows = ring._pack(ring.pow(l, l)), 1, []
+    xl, power, rows = ring.pow(x, l), 1, []
     for i in range(k):
         digits = list(ring._fields(power))
         digits[i] = (digits[i] - 1) % l
         rows += digits
-        power = ring._mul_packed(power, xl)
+        power = ring.mul(power, xl)
     return _kernels.rank(rows, k, k, l) == k - 1
 
 
@@ -130,7 +133,7 @@ MAX_FIELD_ORDER = 10**5  # largest l^k built: the modulus and norm searches scan
 
 
 class FiniteField(_Quotient):
-    """F_{l^k} as F_l[x]/(f); elements are base-l digit encodings in [0, l^k)."""
+    """F_{l^k} as F_l[x]/(f), on the packed elements of _Quotient."""
 
     def __init__(self, l, k):
         if not is_prime(l):
@@ -144,33 +147,27 @@ class FiniteField(_Quotient):
         super().__init__(l, find_irreducible(l, k) if k > 1 else (0, 1))
         self.order = l**k
         # t in 0..k-1 -> packed images of 1, x, ..., x^(k-1) under Frobenius^t
-        self._frobenius = {0: [1 << (8 * self._size * i) for i in range(k)]}
+        self._frobenius = {0: [1 << shift for shift in self._shifts]}
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
         return self.pow(a, self.order - 2)
 
-    def frobenius(self, a, times=1):
-        """a^(l^times); F_l is fixed."""
-        if 0 <= a < self.l:
-            return a
-        return self._unpack(self._frobenius_packed(self._digits(a), times))
-
-    def _frobenius_packed(self, digits, times):
-        """Packed a^(l^times) from the base-l digits of a. The map is
-        F_l-linear of order k, so with t = times mod k it sends sum c_i x^i
-        to sum c_i (x^i)^(l^t): k multiply-adds on the packed images of the
-        power basis, built once per t."""
+    def frobenius(self, a, times):
+        """a^(l^times); F_l is fixed. The map is F_l-linear of order k, so
+        with t = times mod k it sends sum c_i x^i to sum c_i (x^i)^(l^t): k
+        multiply-adds on the packed images of the power basis, built once
+        per t."""
         t = times % self.k
         images = self._frobenius.get(t)
         if images is None:
-            xt = self._pack(self.pow(self.l, self.l**t))
+            xt = self.pow(self.encode(self.l), self.l**t)
             images = [1]
             for _ in range(self.k - 1):
-                images.append(self._mul_packed(images[-1], xt))
+                images.append(self.mul(images[-1], xt))
             self._frobenius[t] = images
-        return self._reduce(sum(map(mul, digits, images)))
+        return self._reduce(sum(map(mul, self._fields(a), images)))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +176,9 @@ class FiniteField(_Quotient):
 
 
 class FiniteFieldTower:
-    """E = F_{l^d} inside L = F_{l^(rd)}, tau = Frobenius^d of order r."""
+    """E = F_{l^d} inside L = F_{l^(rd)}, tau = Frobenius^d of order r.
+
+    Its methods take and return encodings."""
 
     def __init__(self, l, d, r):
         if r < 2:
@@ -192,18 +191,18 @@ class FiniteFieldTower:
         self.field = FiniteField(l, d * r)
 
     def tau(self, e, times=1):
-        return self.field.frobenius(e, self.d * times)
+        f = self.field
+        return f.decode(f.frobenius(f.encode(e), self.d * times))
 
     def is_in_base(self, e):
         return self.tau(e) == e
 
     def norm(self, e):
         f = self.field
-        digits = f._digits(e)
-        out = 1
+        a, out = f.encode(e), 1
         for j in range(self.r):
-            out = f._mul_packed(out, f._frobenius_packed(digits, self.d * j))
-        return f._unpack(out)
+            out = f.mul(out, f.frobenius(a, self.d * j))
+        return f.decode(out)
 
     def base_elements(self):
         return [e for e in range(self.field.order) if self.is_in_base(e)]
@@ -214,14 +213,20 @@ class FiniteFieldTower:
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """Sum of u^j c_j with coefficients c_j in L."""
+    """Sum of u^j c_j with packed coefficients c_j in L. Their fields are
+    below l, so equality and is_zero on the packed form are exact."""
 
     tower: object
-    b: int
-    coeffs: tuple
+    b: int  # encoding
+    packed: tuple
+
+    @property
+    def coeffs(self):
+        """The encodings of c_0, ..., c_(r-1)."""
+        return tuple(map(self.tower.field.decode, self.packed))
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.packed)
 
 
 def _check_same_algebra(x, y):
@@ -230,12 +235,13 @@ def _check_same_algebra(x, y):
 
 
 def algebra_element(tower, b, coeffs):
+    """The element with coefficient encodings coeffs, each read mod l^(rd)."""
     if not tower.is_in_base(b) or b == 0:
         raise ValueError("b must be a nonzero element of the base field")
     coeffs = tuple(coeffs)
     if len(coeffs) != tower.r:
         raise ValueError(f"need exactly {tower.r} coefficients")
-    return AlgebraElement(tower, b, coeffs)
+    return AlgebraElement(tower, b, tuple(map(tower.field.encode, coeffs)))
 
 
 def ca_one(tower, b):
@@ -244,38 +250,31 @@ def ca_one(tower, b):
 
 def ca_add(x, y):
     _check_same_algebra(x, y)
-    f = x.tower.field
-    return AlgebraElement(
-        x.tower, x.b, tuple(f.add(a, c) for a, c in zip(x.coeffs, y.coeffs))
-    )
+    return AlgebraElement(x.tower, x.b, tuple(map(x.tower.field.add, x.packed, y.packed)))
 
 
 def ca_mul(x, y):
     """(u^i c)(u^j d) = u^(i+j) tau^j(c) d, with u^r = b folding the wrap.
 
-    Runs on packed field elements. A slot sums at most r <= k reduced
-    products, within the bound packing.layout sizes the fields for, so it
-    is reduced once at the end.
+    Slot i + j mod r collects at most r <= k products, which one add sums.
     """
     _check_same_algebra(x, y)
     tower, f, r = x.tower, x.tower.field, x.tower.r
-    ds = [f._pack(d) for d in y.coeffs]
-    b = f._pack(x.b)
-    out = [0] * r
-    for i, c in enumerate(x.coeffs):
+    b = f.encode(x.b)
+    out = [[] for _ in range(r)]
+    for i, c in enumerate(x.packed):
         if c == 0:
             continue
-        digits = f._digits(c)
-        for j, d in enumerate(ds):
+        for j, d in enumerate(y.packed):
             if d == 0:
                 continue
-            val = f._mul_packed(f._frobenius_packed(digits, tower.d * j), d)
+            val = f.mul(f.frobenius(c, tower.d * j), d)
             idx = i + j
             if idx >= r:
                 idx -= r
-                val = f._mul_packed(val, b)
-            out[idx] += val
-    return AlgebraElement(tower, x.b, tuple(f._unpack(f._reduce(v)) for v in out))
+                val = f.mul(val, b)
+            out[idx].append(val)
+    return AlgebraElement(tower, x.b, tuple(f.add(*terms) for terms in out))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,7 @@ def split_certificate(tower, b):
     if tower.norm(w) != b:
         raise InternalCheckError("norm preimage does not hit b")
     one = ca_one(tower, b)
-    v = algebra_element(tower, b, (0, f.inv(w)) + (0,) * (r - 2))
+    v = AlgebraElement(tower, b, (0, f.inv(f.encode(w))) + (0,) * (r - 2))
     if v == one:
         raise InternalCheckError("v = u/w is 1")
     z, vj = one, v

@@ -23,9 +23,24 @@ from normtower.errors import InternalCheckError, SearchSpaceTooLarge
 from field_reference import DigitField, field_det, poly_mod, regular_representation
 
 
+# The field works on packed elements; these take and return encodings, so
+# each case runs encode, the packed operation ca_mul and norm run, decode.
+
+
 def packed_mul(field, a, b):
-    """The product ca_mul runs: one packed multiply with its fold."""
-    return field._unpack(field._mul_packed(field._pack(a), field._pack(b)))
+    return field.decode(field.mul(field.encode(a), field.encode(b)))
+
+
+def packed_add(field, a, b):
+    return field.decode(field.add(field.encode(a), field.encode(b)))
+
+
+def packed_frobenius(field, a, times=1):
+    return field.decode(field.frobenius(field.encode(a), times))
+
+
+def packed_inv(field, a):
+    return field.decode(field.inv(field.encode(a)))
 
 
 def test_lex_least_moduli_frozen():
@@ -82,13 +97,15 @@ def test_field_arithmetic_basics():
     # x * x = -1 = 2 with modulus x^2 + 1; x encodes as 3
     assert packed_mul(f9, 3, 3) == 2
     for a in range(1, 9):
-        assert packed_mul(f9, a, f9.inv(a)) == 1
+        assert packed_mul(f9, a, packed_inv(f9, a)) == 1
     rng = random.Random(14)
     for _ in range(50):
         a, b = rng.randrange(9), rng.randrange(9)
-        assert f9.frobenius(f9.add(a, b)) == f9.add(f9.frobenius(a), f9.frobenius(b))
-        assert f9.frobenius(packed_mul(f9, a, b)) == packed_mul(
-            f9, f9.frobenius(a), f9.frobenius(b)
+        assert packed_frobenius(f9, packed_add(f9, a, b)) == packed_add(
+            f9, packed_frobenius(f9, a), packed_frobenius(f9, b)
+        )
+        assert packed_frobenius(f9, packed_mul(f9, a, b)) == packed_mul(
+            f9, packed_frobenius(f9, a), packed_frobenius(f9, b)
         )
 
 
@@ -114,16 +131,17 @@ def test_packed_field_agrees_with_digit_list_oracle(l, k):
     pairs += [(rng.randrange(field.order), rng.randrange(field.order)) for _ in range(40)]
     for a, b in pairs:
         assert packed_mul(field, a, b) == ref.mul(a, b)
-        assert field.add(a, b) == ref.add(a, b)
+        assert packed_add(field, a, b) == ref.add(a, b)
     for a in elems[:4] + elems[-2:]:
         for times in range(2 * k + 1):
-            assert field.frobenius(a, times) == ref.frobenius(a, times)
+            assert packed_frobenius(field, a, times) == ref.frobenius(a, times)
     # both routes read any int as its class mod l^k
-    for a in (-1, -l, field.order, field.order + l + 1):
+    for a in (-1, -l, -field.order - 1, field.order, field.order + l + 1, 3 * field.order):
+        assert field.decode(field.encode(a)) == a % field.order
         for b in (-2, 1, top):
             assert packed_mul(field, a, b) == ref.mul(a, b)
-            assert field.add(a, b) == ref.add(a, b)
-        assert field.frobenius(a) == ref.frobenius(a)
+            assert packed_add(field, a, b) == ref.add(a, b)
+        assert packed_frobenius(field, a) == ref.frobenius(a)
     # tau = Frobenius^d on L = F_(l^k) over E = F_(l^d), of order r = k / d
     for d in (d for d in range(1, k) if k % d == 0 and k // d >= 2):
         tower = FiniteFieldTower(l, d, k // d)
@@ -131,6 +149,13 @@ def test_packed_field_agrees_with_digit_list_oracle(l, k):
         for e in (0, top, rng.randrange(field.order)):
             for times in range(2 * tower.r + 1):
                 assert tower.tau(e, times) == ref.frobenius(e, d * times)
+
+
+@pytest.mark.parametrize("l, k", [(l, k) for l, k in ORACLE_FIELDS if l**k <= 2**12])
+def test_encode_decode_round_trip(l, k):
+    field = FiniteField(l, k)
+    packed = [field.encode(e) for e in range(field.order)]
+    assert [field.decode(v) for v in packed] == list(range(field.order))
 
 
 def test_packed_mul_covers_every_field_sum_on_tight_fields():
@@ -166,7 +191,7 @@ def test_norm_values():
     # base elements have norm b^r
     f = tower.field
     for b in (1, 2):
-        assert tower.norm(b) == f.pow(b, 2)
+        assert tower.norm(b) == f.decode(f.pow(f.encode(b), 2))
     # norm lands in the base and is surjective onto units here
     norms = {tower.norm(e) for e in range(1, 9)}
     assert norms == {1, 2}
@@ -231,6 +256,18 @@ def test_element_validation():
         assert not tower.is_in_base(b)
         with pytest.raises(ValueError):
             algebra_element(tower, b, (1, 0))
+
+
+def test_coefficients_are_read_mod_field_order():
+    # 9 and -1 are 0 and 8 in F_9: the element is stored canonically, so
+    # equality, is_zero and the product with 1 agree on every representative
+    tower = FiniteFieldTower(3, 1, 2)
+    x = algebra_element(tower, 1, (9, -1))
+    assert x.coeffs == (0, 8)
+    assert x == algebra_element(tower, 1, (0, 8))
+    assert ca_mul(x, ca_one(tower, 1)) == x
+    assert algebra_element(tower, 1, (9, 0)).is_zero()
+    assert algebra_element(tower, 1, (-9, 18)).is_zero()
 
 
 def test_regular_representation_multiplicative():
