@@ -30,12 +30,13 @@ class _Quotient:
 
     Every operation takes and returns sum c_i x^i packed as sum c_i 2^(w i),
     one packing field per coefficient, each below l; encode and decode
-    convert from and to the encoding sum c_i l^i. A product is one big-int
-    multiply (Kronecker substitution): field t of the product holds
-    sum_(i+j=t) a_i b_j, at most k products, so one packing.reduce brings
-    all 2k - 1 fields below l. The top k - 1 fields c_(k+t) fold in as
-    c_(k+t) (x^(k+t) mod f), k - 1 more products per field, and a second
-    reduce.
+    convert from and to the encoding sum c_i l^i. dot sums up to k products
+    and reduces once (Dumas, Fousse and Salvy), mul is its one-pair case, and
+    both end in _product. A product is one big-int multiply (Kronecker
+    substitution) whose field t holds sum_(i+j=t) a_i b_j, at most k products,
+    so a field of the sum holds at most k^2, as layout allows: one reduce
+    brings all 2k - 1 fields below l. The top k - 1 fields c_(k+t) fold in as
+    c_(k+t) (x^(k+t) mod f), k - 1 more products per field, and a second reduce.
     """
 
     def __init__(self, l, modulus):
@@ -43,7 +44,7 @@ class _Quotient:
         self.l = l
         self.k = k
         self.modulus = tuple(modulus)
-        self._size, self._s, self._m, self._qmask = packing.layout(k, l, 2 * k - 1)
+        self._size, self._s, self._m, self._qmask = packing.layout(k * k, l, 2 * k - 1)
         self._top = 8 * self._size * k
         self._low = (1 << self._top) - 1
         self._lpows = [l**i for i in range(k)]
@@ -75,16 +76,23 @@ class _Quotient:
         """The encoding in [0, l^k) of a packed element."""
         return sum(map(mul, self._fields(v), self._lpows))
 
-    def mul(self, u, v):
-        v = self._reduce(u * v)
+    def _product(self, v):
+        v = self._reduce(v)
         high = v >> self._top
         if high:
             v = self._reduce((v & self._low) + sum(map(mul, self._fields(high), self._folds)))
         return v
 
+    def dot(self, us, vs):
+        """sum u_i v_i over at most k pairs."""
+        return self._product(sum(map(mul, us, vs)))
+
+    def mul(self, u, v):
+        return self._product(u * v)
+
     def add(self, *terms):
-        """The sum of at most k + 1 packed elements: its fields stay below
-        (k + 1) l, within the bound of layout, so one reduce suffices."""
+        """The sum of at most k^2 + 1 packed elements: its fields are at most
+        (k^2 + 1)(l - 1), within the bound of layout, so one reduce suffices."""
         return self._reduce(sum(terms))
 
     def pow(self, a, e):
@@ -157,9 +165,11 @@ class FiniteField(_Quotient):
     def frobenius(self, a, times):
         """a^(l^times); F_l is fixed. The map is F_l-linear of order k, so
         with t = times mod k it sends sum c_i x^i to sum c_i (x^i)^(l^t): k
-        multiply-adds on the packed images of the power basis, built once
-        per t."""
-        t = times % self.k
+        multiply-adds on the packed images of the power basis."""
+        return self._reduce(sum(map(mul, self._fields(a), self._images(times % self.k))))
+
+    def _images(self, t):
+        """The packed images of 1, x, ..., x^(k-1) under Frobenius^t, built once."""
         images = self._frobenius.get(t)
         if images is None:
             xt = self.pow(self.encode(self.l), self.l**t)
@@ -167,7 +177,7 @@ class FiniteField(_Quotient):
             for _ in range(self.k - 1):
                 images.append(self.mul(images[-1], xt))
             self._frobenius[t] = images
-        return self._reduce(sum(map(mul, self._fields(a), images)))
+        return images
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +199,7 @@ class FiniteFieldTower:
         self.d = d
         self.r = r
         self.field = FiniteField(l, d * r)
+        self._algebras = {}  # b -> ca_mul's tables for (L/E, tau, b), from _algebra
 
     def tau(self, e, times=1):
         f = self.field
@@ -203,6 +214,21 @@ class FiniteFieldTower:
         for j in range(self.r):
             out = f.mul(out, f.frobenius(a, self.d * j))
         return f.decode(out)
+
+    def _algebra(self, b):
+        """ca_mul's tables for (L/E, tau, b), b checked once: [i][j] holds the
+        packed images of the power basis under the F_l-linear c -> tau^j(c),
+        times b where i + j >= r wraps by u^r = b."""
+        tables = self._algebras.get(b)
+        if tables is None:
+            if b == 0 or not self.is_in_base(b):
+                raise ValueError("b must be a nonzero element of the base field")
+            f, r, packed = self.field, self.r, self.field.encode(b)
+            taus = [f._images(self.d * j) for j in range(r)]
+            wraps = taus if b == 1 else [[f.mul(packed, im) for im in images] for images in taus]
+            tables = [[(wraps if i + j >= r else taus)[j] for j in range(r)] for i in range(r)]
+            self._algebras[b] = tables
+        return tables
 
     def base_elements(self):
         return [e for e in range(self.field.order) if self.is_in_base(e)]
@@ -236,8 +262,7 @@ def _check_same_algebra(x, y):
 
 def algebra_element(tower, b, coeffs):
     """The element with coefficient encodings coeffs, each read mod l^(rd)."""
-    if not tower.is_in_base(b) or b == 0:
-        raise ValueError("b must be a nonzero element of the base field")
+    tower._algebra(b)  # raises ValueError unless b is a unit of E
     coeffs = tuple(coeffs)
     if len(coeffs) != tower.r:
         raise ValueError(f"need exactly {tower.r} coefficients")
@@ -256,25 +281,23 @@ def ca_add(x, y):
 def ca_mul(x, y):
     """(u^i c)(u^j d) = u^(i+j) tau^j(c) d, with u^r = b folding the wrap.
 
-    Slot i + j mod r collects at most r <= k products, which one add sums.
+    Each nonzero c is read as digits once, tau^j(c) (times b on the wrap) is
+    k multiply-adds on the tower's tables, and one dot sums each slot.
     """
     _check_same_algebra(x, y)
     tower, f, r = x.tower, x.tower.field, x.tower.r
-    b = f.encode(x.b)
-    out = [[] for _ in range(r)]
+    tables = tower._algebra(x.b)
+    ys = [(j, d) for j, d in enumerate(y.packed) if d]
+    us, vs = [[] for _ in range(r)], [[] for _ in range(r)]
     for i, c in enumerate(x.packed):
         if c == 0:
             continue
-        for j, d in enumerate(y.packed):
-            if d == 0:
-                continue
-            val = f.mul(f.frobenius(c, tower.d * j), d)
-            idx = i + j
-            if idx >= r:
-                idx -= r
-                val = f.mul(val, b)
-            out[idx].append(val)
-    return AlgebraElement(tower, x.b, tuple(f.add(*terms) for terms in out))
+        digits, row = f._fields(c), tables[i]
+        for j, d in ys:
+            slot = (i + j) % r
+            us[slot].append(c if j == 0 else f._reduce(sum(map(mul, digits, row[j]))))
+            vs[slot].append(d)
+    return AlgebraElement(tower, x.b, tuple(map(f.dot, us, vs)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +308,7 @@ def ca_mul(x, y):
 def solve_norm(tower, b):
     """First w in encoding order with N_{L/E}(w) = b (norms are onto E^x);
     FiniteField bounds the scan by MAX_FIELD_ORDER."""
-    if b == 0 or not tower.is_in_base(b):
-        raise ValueError("b must be a nonzero element of the base field")
+    tower._algebra(b)  # raises ValueError unless b is a unit of E
     for w in range(1, tower.field.order):
         if tower.norm(w) == b:
             return w

@@ -7,10 +7,9 @@ lands in F_l^x the claim is that it is an n-th power there, and the check
 enumerates every rational function within a degree bound to confirm it.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import add
 
 from . import packing
 from .errors import InternalCheckError, SearchSpaceTooLarge
@@ -55,9 +54,11 @@ def proposition_check(l, n, deg_bound, g=None):
     Polynomials are packed ints (Kronecker substitution): the monomial
     with exponents e sits in packing field sum e_i v_i, the v_i from
     _kronecker_weights, so a product of polynomials is a product of ints.
-    A norm is n - 1 big-int products and one packing.reduce. Its class is
-    keyed by the norm divided by its top field; the top fields within a
-    class have the same ratios as the graded-lex leading coefficients.
+    A tail's n shifted sums are a shorter tail's plus c times one monomial,
+    so a norm is n additions, n - 1 big-int products and one reduce. Its
+    class is keyed by the norm divided by its top field; the top fields
+    within a class have the ratios of the graded-lex leading coefficients,
+    and the unit norms are those ratios times the n-th powers.
     """
     if l > 7:
         raise SearchSpaceTooLarge("prime fields beyond F_7 are out of desk range")
@@ -105,26 +106,27 @@ def proposition_check(l, n, deg_bound, g=None):
         for j in range(n)
     ]
 
+    # level: each tail's sums with the n shifted rows over the monomials
+    # before lead; the last lead's level is iterated, never listed
+    inverse = [0] + [pow(c, -1, l) for c in range(1, l)]
     classes = {}
-    for lead in range(len(monos)):
-        heads = [row[lead] for row in shifted]
-        tails = [row[:lead] for row in shifted]
-        for tail in itertools.product(range(l), repeat=lead):
-            norm = heads[0] + sum(map(mul, tail, tails[0]))
-            for head, row in zip(heads[1:], tails[1:]):
-                norm *= head + sum(map(mul, tail, row))
-            norm = packing.reduce(norm, l, m, s, qmask)
+    level = [(0,) * n]
+    for lead, heads in enumerate(zip(*shifted)):
+        if lead:
+            steps = [[c * row[lead - 1] for row in shifted] for c in range(l)]
+            level = (tuple(map(add, sums, step)) for sums in level for step in steps)
+            if lead < len(monos) - 1:
+                level = list(level)
+        for sums in level:
+            norm = packing.reduce(math.prod(map(add, heads, sums)), l, m, s, qmask)
             lc = norm >> (width * ((norm.bit_length() - 1) // width))
             if lc != 1:
-                norm = packing.reduce(norm * pow(lc, -1, l), l, m, s, qmask)
-            classes.setdefault(norm, set()).add(lc)
+                norm = packing.reduce(norm * inverse[lc], l, m, s, qmask)
+            classes[norm] = classes.get(norm, 0) | 1 << lc  # the class's leading coefficients
 
-    unit_norms = set()
-    for leading_coeffs in classes.values():
-        for c1 in leading_coeffs:
-            for c2 in leading_coeffs:
-                ratio = c1 * pow(c2, -1, l) % l
-                unit_norms.update(ratio * t % l for t in nth_powers)
+    lcs = [[c for c in range(1, l) if mask >> c & 1] for mask in set(classes.values())]
+    ratios = {c1 * inverse[c2] % l for cs in lcs for c1 in cs for c2 in cs}
+    unit_norms = {ratio * t % l for ratio in ratios for t in nth_powers}
     if not set(nth_powers) <= unit_norms:
         # c^n = N(c) for constants, so the n-th powers are always reached
         raise InternalCheckError("enumeration missed the constant witnesses")

@@ -2,9 +2,11 @@
 packed route, kept as a test oracle: elements decode to base-l digit
 lists, a product is a schoolbook polynomial product reduced by the monic
 modulus, and Frobenius is a square-and-multiply power a^(l^times). On
-it sit the regular representation of a cyclic-algebra element and a
-Gaussian-elimination determinant: a route to the singularity of a split
-certificate's zero divisor that shares nothing with the packed field."""
+it sit the twisted product of the cyclic algebra, the regular
+representation of an algebra element and a Gaussian-elimination
+determinant: routes to the algebra's products and to the singularity of a
+split certificate's zero divisor that share nothing with the packed
+field."""
 
 
 def poly_mul(a, b, l):
@@ -85,6 +87,21 @@ def regular_representation(field, d, b, coeffs):
             row = (i + j) % r
             mat[row][j] = field.add(mat[row][j], val)
     return mat
+
+
+def twisted_product(field, d, b, x, y):
+    """The coefficients of x y in the cyclic algebra (L/E, tau, b), tau =
+    Frobenius^d, x and y given by their coefficient encodings: every
+    (u^i c)(u^j e) = u^(i+j) tau^j(c) e, with u^(i+j) reduced by u^r = b."""
+    r = len(x)
+    out = [0] * r
+    for i, c in enumerate(x):
+        for j, e in enumerate(y):
+            val = field.mul(field.frobenius(c, d * j), e)
+            if i + j >= r:
+                val = field.mul(val, b)
+            out[(i + j) % r] = field.add(out[(i + j) % r], val)
+    return out
 
 
 def field_det(field, rows):

@@ -20,7 +20,13 @@ from normtower.cyclic_algebra import (
     split_certificate,
 )
 from normtower.errors import InternalCheckError, SearchSpaceTooLarge
-from field_reference import DigitField, field_det, poly_mod, regular_representation
+from field_reference import (
+    DigitField,
+    field_det,
+    poly_mod,
+    regular_representation,
+    twisted_product,
+)
 
 
 # The field works on packed elements; these take and return encodings, so
@@ -171,6 +177,66 @@ def test_packed_mul_covers_every_field_sum_on_tight_fields():
         for a in range(field.order):
             for b in multipliers:
                 assert packed_mul(field, a, b) == ref.mul(a, b)
+
+
+@pytest.mark.parametrize("l, k", [(31, 2), (7, 3), (313, 2), (99991, 1)])
+def test_dot_covers_k_products_of_max_digit_elements(l, k):
+    # k pairs with digits l - 1 and l - 2 put up to k^2 (l - 1)^2 in a field
+    # before the one reduce; (313, 2) and (99991, 1) read digits as p > 256
+    field = FiniteField(l, k)
+    ref = DigitField(l, field.modulus)
+    heavy = [
+        sum(d * l**i for i, d in enumerate(digits))
+        for digits in itertools.product((l - 1, l - 2), repeat=k)
+    ]
+    rng = random.Random(f"dot:{l}:{k}")
+    cases = [([field.order - 1] * k, [field.order - 1] * k)]
+    for _ in range(60):
+        cases.append(([rng.choice(heavy) for _ in range(k)], [rng.choice(heavy) for _ in range(k)]))
+    cases += [(us[:t], vs[:t]) for us, vs in cases[:8] for t in range(k)]
+    for us, vs in cases:
+        expected = functools.reduce(ref.add, map(ref.mul, us, vs), 0)
+        got = field.dot([field.encode(u) for u in us], [field.encode(v) for v in vs])
+        assert field.decode(got) == expected
+
+
+@pytest.mark.parametrize(
+    "l, d, r",
+    [(3, 1, 2), (2, 1, 3), (5, 1, 2), (2, 2, 2), (3, 2, 3), (2, 5, 2), (2, 1, 8), (313, 1, 2)],
+)
+def test_ca_mul_agrees_with_reference_twisted_product(l, d, r):
+    tower = FiniteFieldTower(l, d, r)
+    ref = DigitField(l, tower.field.modulus)
+    k, order = d * r, tower.field.order
+    rng = random.Random(f"twisted:{l}:{d}:{r}")
+    # norms are onto E^x: b = 1 and units of E other than 1
+    bs = {1} | {tower.norm(rng.randrange(1, order)) for _ in range(6)}
+    assert len(bs) > 1 or l**d == 2
+
+    def heavy():
+        return sum(rng.choice((l - 1, l - 2)) * l**i for i in range(k))
+
+    def coefficients():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return [heavy() for _ in range(r)]
+        if kind == 1:  # some coefficients zero
+            return [rng.choice((0, heavy(), rng.randrange(order))) for _ in range(r)]
+        if kind == 2:  # one nonzero coefficient
+            slot = rng.randrange(r)
+            return [heavy() if i == slot else 0 for i in range(r)]
+        return [rng.randrange(order) for _ in range(r)]
+
+    for b in sorted(bs):
+        for _ in range(12):
+            xs, ys = coefficients(), coefficients()
+            x, y = algebra_element(tower, b, xs), algebra_element(tower, b, ys)
+            assert ca_mul(x, y).coeffs == tuple(twisted_product(ref, d, b, xs, ys))
+        top = [order - 1] * r
+        zero = [0] * r
+        for xs, ys in ((top, top), (top, zero), (zero, top)):
+            x, y = algebra_element(tower, b, xs), algebra_element(tower, b, ys)
+            assert ca_mul(x, y).coeffs == tuple(twisted_product(ref, d, b, xs, ys))
 
 
 def test_tower_tau_and_base():

@@ -11,7 +11,7 @@ from normtower.errors import (
 )
 from normtower.mvalue import NEG_INF
 from normtower.roots import RootOfUnityContent, m_from_root_content
-from normtower.ufd_norm import MAX_WORK, proposition_check
+from normtower.ufd_norm import MAX_WORK, PropositionReport, proposition_check
 from ufd_reference import PolyRing, orbit_norm, proposition_check_dict, rational_function
 
 
@@ -127,12 +127,25 @@ ORACLE_SCANS = (
     (5, 2, 2, 2), (7, 2, 1, 4), (7, 1, 2, 2), (2, 3, 2, 3),
     (3, 2, 2, None), (5, 2, 1, None), (3, 3, 1, None),
     (2, 2, 1, 8), (3, 3, 1, 6), (2, 1, 2, 3), (5, 1, 0, 4), (3, 2, 0, 2),
+    (7, 3, 1, 3),
 )
 
 
 @pytest.mark.parametrize("l, n, deg, g", ORACLE_SCANS)
 def test_packed_scan_agrees_with_dict_oracle(l, n, deg, g):
     assert proposition_check(l, n, deg, g=g) == proposition_check_dict(l, n, deg, g=g)
+
+
+def test_near_guard_scans_frozen():
+    # the largest n = 1 scans inside MAX_WORK, whose levels of tails are longest
+    assert proposition_check(2, 1, 1, g=15) == PropositionReport(
+        l=2, n=1, g=15, deg_bound=1, unit_norms=(1,), nth_powers=(1,),
+        consistent=True, representatives=65535, norm_classes=65535,
+    )
+    assert proposition_check(3, 1, 1, g=9) == PropositionReport(
+        l=3, n=1, g=9, deg_bound=1, unit_norms=(1, 2), nth_powers=(1, 2),
+        consistent=True, representatives=29524, norm_classes=29524,
+    )
 
 
 def test_proposition_guards():
