@@ -3,8 +3,12 @@
 field per coordinate (see `packing`), so a sum of scaled vectors is a few
 big-int operations in C rather than a Python loop over entries. Row
 reduction and the rank sequence share one echelon routine, `_echelon`.
+Once a dense step of the rank sequence has halved the rank, the rest of
+the sequence runs on the operator restricted to its image, in vectors
+of that image's dimension (see nilpotent_rank_sequence).
 """
 
+from itertools import chain
 from operator import mul
 
 from .packing import from_fields, layout, reduce, to_fields
@@ -98,23 +102,36 @@ def nilpotent_rank_sequence(mat, n, p):
     """[rank(N^0), rank(N^1), ...] down to 0 for a nilpotent n x n matrix N.
 
     Iterates an echelonized basis of the image instead of forming powers:
-    the k-th step multiplies N into a basis of im(N^(k-1)) and re-reduces,
-    so the cost is governed by the (shrinking) ranks, not by n^3 per power.
-    It runs on the transpose, whose powers have the same ranks, because
-    the columns of N^T are the rows of N, contiguous in `mat`.
+    each step multiplies the operator into a basis of its last image and
+    re-reduces, so the cost is governed by the (shrinking) ranks, not by
+    n^3 per power. It starts on A = N^T, whose powers have the same ranks,
+    because the columns of N^T are the rows of N, contiguous in `mat`.
+    The mat-vec A b is the sum of c_j times column j over the nonzero
+    fields c_j of b between its first and last nonzero field, so a sparse
+    b costs little, and a unit b costs a lookup.
 
-    Each step echelonizes the images with _echelon. The mat-vec N^T b is
-    the sum of c_j times column j over the nonzero fields c_j of b between
-    its first and last nonzero field, so a sparse b costs little, and a
-    unit b costs a lookup. Raises ValueError if N is not nilpotent.
+    Once a step has done real mat-vecs (its basis held a non-unit vector)
+    and its rank r is at most half the current dimension d, the operator
+    is restricted to its image V = im(A^k), on r-field vectors from then
+    on. This is exact: A maps V into itself and A^j V = im(A^(k+j)). The
+    basis is reduced, so an image's coordinates in it are its own fields
+    at the pivots, and the r x r matrix of A|V is read off the images the
+    step computed anyway. One slice per pivot across the images gives a
+    row of that matrix; the rows become the next columns, so the loop goes
+    on with the transpose, whose ranks are the same. Where every basis
+    vector is a unit vector (block-diagonal modules, triangular N) nothing
+    is restricted, and a single Jordan block, whose rank falls by one a
+    step, is restricted only once it has halved.
+    Raises ValueError if N is not nilpotent.
     """
-    size, s, m, qmask = layout(n, p)  # every sum below holds at most n products
-    width = 8 * size
-    row = n * size
+    d = n
+    size, s, m, qmask = layout(d, p)  # every sum below holds at most d products
     cols = _pack_rows(mat, n, n, p, size)
     ranks = [n]
     images = cols  # the columns of N^T span im(N^T)
     while True:
+        width = 8 * size
+        row = d * size
         basis = _echelon(images, p, size, s, m, qmask, row)
         r = len(basis)
         ranks.append(r)
@@ -123,11 +140,13 @@ def nilpotent_rank_sequence(mat, n, p):
         if r >= ranks[-2]:
             raise ValueError("matrix is not nilpotent")
         images = []
+        dense = False
         for piv, w in basis.items():
             top = (w.bit_length() - 1) // width
             if top == piv:  # the unit vector at piv
                 images.append(cols[piv])
                 continue
+            dense = True
             count = top + 1 - piv
             fields = (w >> (width * piv)).to_bytes(count * size, "little")
             acc = 0
@@ -135,3 +154,10 @@ def nilpotent_rank_sequence(mat, n, p):
                 if c:
                     acc += c * col
             images.append(reduce(acc, p, m, s, qmask))
+        if dense and 2 * r <= d:
+            raw = from_fields(b"".join(y.to_bytes(row, "little") for y in images), p, size)
+            size, s, m, qmask = layout(r, p)
+            # row j of the matrix of A|V: the j-th pivot's field of every image
+            cols = _pack_rows(chain.from_iterable(raw[q::d] for q in basis), r, r, p, size)
+            images = cols
+            d = r

@@ -84,10 +84,14 @@ def _omega2(u):
 
 
 def hilbert_symbol(a, b, place):
-    """The local symbol (a, b) at a finite prime or the real place."""
+    """The local symbol (a, b) at a finite prime or the real place, for
+    nonzero rationals a and b; ValueError at every place if either is 0."""
     place = _norm_place(place)
     if place == INFINITE_PLACE:
-        return -1 if _rational(a) < 0 and _rational(b) < 0 else 1
+        a, b = _rational(a), _rational(b)
+        if not a or not b:
+            raise ValueError("Hilbert symbol of zero")
+        return -1 if a < 0 and b < 0 else 1
     p = place
     if p == 2:
         alpha, u = _local_data(a, 2, 3)

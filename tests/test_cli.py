@@ -64,6 +64,15 @@ def test_hilbert_zero_denominator_exits_1(capsys):
     assert (code, out, err) == (1, "", "error: '-5/0' has a zero denominator\n")
 
 
+def test_hilbert_of_zero_exits_1_at_every_place(capsys):
+    for place in ("inf", "2", "3"):
+        for a, b in (("0", "3"), ("-2", "0/5")):
+            code, out, err = run(capsys, "hilbert", "--a", a, "--b", b, "--place", place)
+            assert (code, out, err) == (1, "", "error: Hilbert symbol of zero\n")
+    code, out, err = run(capsys, "hilbert", "--a", "0", "--b", "3", "--place", "all")
+    assert (code, out, err) == (1, "", "error: quaternion parameters must be nonzero\n")
+
+
 @pytest.mark.parametrize(
     "value, message",
     [

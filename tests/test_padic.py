@@ -157,6 +157,14 @@ def test_hilbert_symbol_frozen_values():
         hilbert_symbol(0, 3, 2)
 
 
+def test_hilbert_symbol_of_zero_raises_at_every_place():
+    # the real place once answered 1 for (0, 3), where every finite place raised
+    for place in (INFINITE_PLACE, 2, 3, 7):
+        for a, b in ((0, 3), (3, 0), (Fraction(0), -1), (-1, Fraction(0)), (0, 0)):
+            with pytest.raises(ValueError, match="Hilbert symbol of zero"):
+                hilbert_symbol(a, b, place)
+
+
 def test_two_squares_frozen_and_oracle_equivalence():
     yes = (2, 5, 10, 13, 4, 8, Fraction(1, 2), Fraction(5, 9))
     no = (-1, 3, 7, -2, 6, 14, Fraction(7, 5))

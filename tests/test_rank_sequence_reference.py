@@ -263,3 +263,70 @@ def test_dense_non_nilpotent_rejected_by_both():
             for kernel in (dense_rank_reference, _kernels):
                 with pytest.raises(ValueError, match="not nilpotent"):
                     kernel.nilpotent_rank_sequence(list(dense), n, p)
+
+
+def restrictions(ranks):
+    """The dimensions a dense input with these ranks is restricted to on
+    the way: a step restricts when its rank is at most half the dimension
+    it ran in (and its basis held a non-unit vector, as a dense conjugate's
+    does), unless the sequence ends or stalls there."""
+    d, dims = ranks[0], []
+    for prev, r in zip(ranks, ranks[1:]):
+        if 0 < r < prev and 2 * r <= d:
+            dims.append(r)
+            d = r
+    return dims
+
+
+# from_fields' one-byte route (p <= 256) and its tuple route (p > 256),
+# with fields of 1 to 33 bytes
+RESTRICT_PRIMES = (2, 3, 7, 251, 65537, 2**61 - 1)
+
+
+def test_dense_conjugates_of_small_blocks_restrict_to_the_image():
+    # blocks of at most 4 halve the rank within two steps, so the rest of
+    # the sequence runs on the image, in a narrower layout
+    rng = random.Random(18)
+    dims = [40, 55, 70, 85, 100, 115, 130, 45, 60, 75, 90, 125]
+    narrower = 0
+    for i, n in enumerate(dims):
+        p = RESTRICT_PRIMES[i % len(RESTRICT_PRIMES)]
+        mat, ranks = jordan_nilpotent(rng, n, rng.choice((3, 4)))
+        dense = conjugate(rng, mat, n, p)
+        assert dense.count(0) < n * n * 0.7
+        assert restrictions(ranks)
+        narrower += packing.layout(restrictions(ranks)[-1], p)[0] < packing.layout(n, p)[0]
+        assert assert_agree(dense, n, p) == ranks
+    assert narrower >= 6
+
+
+def test_dense_non_nilpotent_stalls_after_a_restriction():
+    # Jordan blocks of 3 and 1 beside the swap [[0, 1], [1, 0]]: the ranks
+    # halve while the blocks die out, so the stall at rank 2 is found on
+    # the image
+    rng = random.Random(19)
+    for p in RESTRICT_PRIMES:
+        for threes, ones in ((4, 14), (9, 25)):
+            k = 3 * threes + ones
+            n = k + 2
+            mat = [0] * (n * n)
+            for b in range(threes):
+                mat[3 * b * n + 3 * b + 1] = mat[(3 * b + 1) * n + 3 * b + 2] = 1
+            mat[k * n + k + 1] = mat[(k + 1) * n + k] = 1
+            assert restrictions([n, 2 * threes + 2, threes + 2, 2, 2])
+            dense = conjugate(rng, mat, n, p)
+            for kernel in (dense_rank_reference, _kernels):
+                with pytest.raises(ValueError, match="not nilpotent"):
+                    kernel.nilpotent_rank_sequence(list(dense), n, p)
+
+
+def test_large_dense_conjugate_keeps_the_block_ranks():
+    # too large for the dense reference: conjugation leaves the ranks of
+    # the block-diagonal N
+    rng = random.Random(20)
+    n, p = 240, 5
+    mat, ranks = jordan_nilpotent(rng, n, 6)
+    dense = conjugate(rng, mat, n, p)
+    assert dense.count(0) < n * n * 0.7
+    assert len(restrictions(ranks)) >= 2
+    assert _kernels.nilpotent_rank_sequence(dense, n, p) == ranks
