@@ -69,17 +69,6 @@ def _nilpotent_part(sigma):
     return nil
 
 
-@dataclass(frozen=True)
-class JordanProfile:
-    """Multiset of block sizes, largest first."""
-
-    sizes: tuple
-
-    @property
-    def total(self):
-        return sum(self.sizes)
-
-
 # largest shape dimension, and so largest module synthesize builds, and the
 # largest module a file may give; c06 and the tests build at most 90, and the
 # rank sequence of one Jordan block takes 0.4-0.5 s at 512 and 2.0-2.8 s at
@@ -164,7 +153,7 @@ def _power_exponent(value, p):
 
 
 def jordan_profile(mod):
-    """Block-size multiset from the rank sequence of N = sigma - 1.
+    """Block sizes, largest first, from the rank sequence of N = sigma - 1.
 
     With r_k = rank(N^k), the number of blocks of size k is
     r_(k-1) - 2 r_k + r_(k+1).
@@ -179,12 +168,11 @@ def jordan_profile(mod):
             raise InternalCheckError(f"negative block count at size {k}")
         sizes.extend([k] * count)
     sizes.sort(reverse=True)
-    prof = JordanProfile(tuple(sizes))
-    if prof.total != mod.dim:
+    if sum(sizes) != mod.dim:
         raise InternalCheckError(
-            f"block sizes sum to {prof.total}, dimension is {mod.dim}"
+            f"block sizes sum to {sum(sizes)}, dimension is {mod.dim}"
         )
-    return prof
+    return tuple(sizes)
 
 
 def classify_profile(profile, p, n):
@@ -196,7 +184,7 @@ def classify_profile(profile, p, n):
     """
     free = [0] * (n + 1)
     exceptional = None
-    for size in profile.sizes:
+    for size in profile:
         if size > p**n:
             raise NotRealizable(f"block size {size} exceeds p^n = {p ** n}")
         i = _power_exponent(size, p)

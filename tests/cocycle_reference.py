@@ -3,15 +3,44 @@
 These are the direct loops: the 2-cocycle identity over all a^3 index
 triples, and multiplicativity of a map between two extension groups over
 all (a r)^2 element pairs. The library decides both on the a x a table
-instead; tests compare the two on the same inputs. `groups_isomorphic`
-is a backtracking isomorphism search between small extension groups, on
-the group law `op` and the element orders it gives.
+instead, and never builds the groups; `Extension` builds them here, with
+their elements and the group law `op`, and `shift_map` expands the
+library's carry-shift witness into the map on all a r elements. Tests
+compare the two on the same inputs. `groups_isomorphic` is a backtracking
+isomorphism search between small extension groups, on `op` and the element
+orders it gives.
 """
 
 from normtower.cohomology import Cocycle2
-from normtower.errors import InternalCheckError, SearchSpaceTooLarge
+from normtower.errors import InternalCheckError, NotACocycle, SearchSpaceTooLarge
 
 IDENTITY = (0, 0)
+
+
+class Extension:
+    """The central extension of Z/a by Z/r defined by a 2-cocycle: the
+    pairs (m, i), multiplied by `op`. The exhaustive `is_cocycle` check at
+    construction makes `op` associative."""
+
+    def __init__(self, cocycle):
+        if not is_cocycle(cocycle):
+            raise NotACocycle("table fails the 2-cocycle identity")
+        self.cocycle = cocycle
+        self.a = cocycle.a
+        self.r = cocycle.r
+        self.elements = [(m, i) for m in range(self.r) for i in range(self.a)]
+
+    @property
+    def order(self):
+        return self.a * self.r
+
+    def is_abelian(self):
+        return all(op(self, x, y) == op(self, y, x) for x in self.elements for y in self.elements)
+
+
+def shift_map(source, shift):
+    """(m, i) -> (m + shift[i], i) on every element of the source extension."""
+    return {(m, i): ((m + shift[i]) % source.r, i) for m, i in source.elements}
 
 
 def coboundary(a, r, f):
@@ -28,7 +57,7 @@ def op(g, x, y):
     """(m1, i1)(m2, i2) = (m1 + m2 + c(i1, i2), i1 + i2) in the extension g."""
     m1, i1 = x
     m2, i2 = y
-    return ((m1 + m2 + g.cocycle(i1, i2)) % g.r, (i1 + i2) % g.a)
+    return ((m1 + m2 + g.cocycle.table[i1][i2]) % g.r, (i1 + i2) % g.a)
 
 
 def order_of(g, x):

@@ -395,8 +395,11 @@ def test_algebra_certificate(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["norm_preimage"] == 4
-    code, _, err = run(capsys, "algebra", "--l", "3", "--r", "2", "--b", "0")
-    assert code == 1
+    # F_9 over F_3, whose units are encoded 1 and 2: every other b is refused
+    for b in ("0", "5", "9", "-1"):
+        code, out, err = run(capsys, "algebra", "--l", "3", "--d", "1", "--r", "2", "--b", b)
+        assert (code, out) == (1, "")
+        assert err == "error: b must be a nonzero element of the base field\n"
 
 
 def test_algebra_heavy_towers_frozen(capsys):

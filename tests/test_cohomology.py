@@ -1,12 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
-from cocycle_reference import coboundary, element_orders
+from cocycle_reference import Extension, coboundary, element_orders, shift_map
 from normtower.cohomology import (
     Cocycle2,
-    ExtensionGroup,
     carrying_cocycle,
     cohomologous_bruteforce,
     extension_isomorphism,
@@ -21,10 +21,10 @@ from normtower.errors import NotACocycle
 def test_carrying_values():
     c = carrying_cocycle(4, 2, 3)
     # carries happen exactly when low parts overflow the block
-    assert c(1, 1) == 1  # floor(2/2) - 0 - 0
-    assert c(1, 2) == 0  # floor(3/2) - 0 - 1
-    assert c(3, 3) == 1  # floor(6/2) - 1 - 1
-    assert c(0, 3) == 0
+    assert c.table[1][1] == 1  # floor(2/2) - 0 - 0
+    assert c.table[1][2] == 0  # floor(3/2) - 0 - 1
+    assert c.table[3][3] == 1  # floor(6/2) - 1 - 1
+    assert c.table[0][3] == 0
     with pytest.raises(ValueError):
         carrying_cocycle(4, 3, 2)  # b must divide a
 
@@ -57,14 +57,14 @@ def test_non_cocycle_table_rejected():
     bad = Cocycle2(3, 2, ((0, 0, 0), (0, 1, 0), (0, 0, 0)))
     assert not is_cocycle(bad)
     with pytest.raises(NotACocycle):
-        ExtensionGroup(bad)
+        h2_invariant(bad)
 
 
 def test_extension_group_orders():
     # full-wrap carrying on Z/2 by Z/2 gives Z/4
-    z4 = ExtensionGroup(carrying_cocycle(2, 2, 2))
+    z4 = Extension(carrying_cocycle(2, 2, 2))
     assert element_orders(z4) == (1, 2, 4, 4)
-    klein = ExtensionGroup(zero_cocycle(2, 2))
+    klein = Extension(zero_cocycle(2, 2))
     assert element_orders(klein) == (1, 2, 2, 2)
 
 
@@ -85,16 +85,38 @@ def test_scaled_cocycle_invariant_is_linear():
 def test_extension_isomorphism_witness():
     w = extension_isomorphism(8, 2, 4)
     assert w.q == 4
-    assert len(w.mapping) == 8 * 4
-    assert w.source.order == w.target.order == 32
-    # quotient coordinate is untouched
-    assert all(pair[1] == image[1] for pair, image in w.mapping.items())
+    assert w.shift == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert w.psi.table == carrying_cocycle(8, 2, 4).table
+    assert w.invariant == h2_invariant(w.phi) == h2_invariant(w.psi) == 0
+    # the map the shift stands for is bijective and fixes centre and quotient
+    for a in range(1, 9):
+        for b in (x for x in range(1, a + 1) if a % x == 0):
+            for r in range(1, 5):
+                w = extension_isomorphism(a, b, r)
+                mapping = shift_map(Extension(w.phi), w.shift)
+                assert len(mapping) == a * r
+                assert len(set(mapping.values())) == a * r
+                assert all(mapping[(m, 0)] == (m, 0) for m in range(r))
+                assert all(x[1] == y[1] for x, y in mapping.items())
+
+
+def test_extension_isomorphism_builds_nothing_of_size_a_r():
+    # a r = 160,000 at the guard: the a x a tables alone are about 4 MiB
+    tracemalloc.start()
+    try:
+        extension_isomorphism(400, 20, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_isomorphic_pairs_attach_same_group():
     # q = 1: scaled cocycle equals the plain wrap; extension is cyclic
     w = extension_isomorphism(4, 4, 2)
-    assert element_orders(w.target) == element_orders(ExtensionGroup(carrying_cocycle(4, 4, 2)))
+    assert element_orders(Extension(w.psi)) == element_orders(
+        Extension(carrying_cocycle(4, 4, 2))
+    )
 
 
 def test_cohomologous_bruteforce_matches_invariant():
