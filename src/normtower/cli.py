@@ -40,6 +40,8 @@ def _load_json(path):
             return json.load(handle)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: invalid JSON: {err}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +399,7 @@ def main(argv=None):
     except NormTowerError as err:
         sys.stderr.write(f"{type(err).__name__}: {err}\n")
         return 2
-    except (ValueError, KeyError, OSError) as err:
+    except (ValueError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
     except Exception as err:

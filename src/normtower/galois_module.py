@@ -27,20 +27,28 @@ from .mvalue import UNDETERMINED
 from .numtheory import MAX_N, is_prime, json_int, shown
 
 
+# largest module dimension, and so largest shape, module file and synthesize
+# output; c06 and the tests build at most 90, and the rank sequence of one
+# Jordan block takes 0.3-0.7 s at 512 (2-CPU VM, Python 3.11)
+MAX_DIM = 512
+
+
 class GModule:
-    """A matrix sigma in GL_d(F_p) with sigma^(p^n) = 1."""
+    """A matrix sigma in GL_d(F_p) with sigma^(p^n) = 1, of dimension at most
+    MAX_DIM; a larger one raises SearchSpaceTooLarge before any rank is taken."""
 
     __slots__ = ("p", "n", "sigma", "_ranks")
 
     def __init__(self, p, n, sigma):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        # FpMatrix has proved sigma.p prime
+        if sigma.p != p:
+            raise ValueError("sigma modulus differs from p")
         if n < 1:
             raise ValueError("n must be >= 1")
         if sigma.rows != sigma.cols:
             raise ValueError("sigma must be square")
-        if sigma.p != p:
-            raise ValueError("sigma modulus differs from p")
+        if sigma.rows > MAX_DIM:
+            raise SearchSpaceTooLarge(f"dimension {sigma.rows} > {MAX_DIM}")
         self.p = p
         self.n = n
         self.sigma = sigma
@@ -69,13 +77,6 @@ def _nilpotent_part(sigma):
     return nil
 
 
-# largest shape dimension, and so largest module synthesize builds, and the
-# largest module a file may give; c06 and the tests build at most 90, and the
-# rank sequence of one Jordan block takes 0.4-0.5 s at 512 and 2.0-2.8 s at
-# 1,024 (2-CPU VM, Python 3.11)
-MAX_DIM = 512
-
-
 @dataclass(frozen=True)
 class DecompositionShape:
     """Free multiplicities y_i of blocks of size p^i, plus optional exceptional m.
@@ -100,7 +101,7 @@ class DecompositionShape:
         if m is not None:
             if not isinstance(m, int) or not 0 <= m < n:
                 raise InvalidShape(f"exceptional m must satisfy 0 <= m < n, got {m!r}")
-            if _power_exponent(p**m + 1, p) is not None:
+            if m not in exceptional_range(p, n):
                 raise InvalidShape(
                     f"dimension p^{m}+1 = {p ** m + 1} is a power of {p}; "
                     "such a summand is free, not exceptional"
@@ -124,10 +125,8 @@ class DecompositionShape:
 
     @property
     def total_dim(self):
-        d = sum(y * self.p**i for i, y in enumerate(self.free_ranks))
-        if self.exceptional is not None:
-            d += self.p**self.exceptional + 1
-        return d
+        free = sum(y * self.p**i for i, y in enumerate(self.free_ranks))
+        return free + (self.exceptional_dim or 0)
 
     def block_sizes(self):
         sizes = []
@@ -136,6 +135,13 @@ class DecompositionShape:
         if self.exceptional is not None:
             sizes.append(self.exceptional_dim)
         return tuple(sorted(sizes, reverse=True))
+
+
+def exceptional_range(p, n):
+    """The m < n with an exceptional summand of dimension p^m + 1. That
+    dimension is a power of p, so a free block, only at p = 2, m = 0: for
+    m >= 1 it is 1 mod p."""
+    return range(1 if p == 2 else 0, n)
 
 
 def _power_exponent(value, p):
@@ -192,7 +198,7 @@ def classify_profile(profile, p, n):
             free[i] += 1
             continue
         m = _power_exponent(size - 1, p)
-        if m is None or not 0 <= m < n:
+        if m not in exceptional_range(p, n):
             raise NotRealizable(f"block size {size} is neither p^i nor p^m + 1, m < n")
         if exceptional is not None:
             raise NotRealizable("more than one exceptional block size")
@@ -268,10 +274,7 @@ def random_gmodule(p, n, dim, seed=0):
 
 def enumerate_shapes(p, n, max_dim):
     """All valid shapes with 1 <= total_dim <= max_dim, deterministic order."""
-    exc_options = [None]
-    for m in range(n):
-        if _power_exponent(p**m + 1, p) is None and p**m + 1 <= max_dim:
-            exc_options.append(m)
+    exc_options = [None, *(m for m in exceptional_range(p, n) if p**m + 1 <= max_dim)]
     shapes = []
     for exc in exc_options:
         base = 0 if exc is None else p**exc + 1

@@ -119,10 +119,8 @@ def _m_brauer_rowen(spec):
     _require(n >= 1, "n must be >= 1")
     _require(0 <= t <= n - 1, "t must lie in 0..n-1, got {}", t)
     base = RootOfUnityContent.cyclotomic(p ** (n - t))
-    s = base.max_power(p)
-    if s != n - t:
-        raise InternalCheckError(f"conductor p^{n - t} carries content {s}")
     m = m_from_root_content(base, p, n)
+    # m = n - max_power(p), so this also tests that the conductor carries n - t
     if m != t:
         raise InternalCheckError(f"chain gave m = {m}, parameterization says {t}")
     return MResult(
@@ -380,9 +378,10 @@ def cross_check_profile(spec, module):
     """Compare the m forced by a module's shape with the tower's m.
 
     A shape without an exceptional summand determines no m; that is
-    consistent with m = -inf, with an undecided m <= 0, and, at p = 2,
-    with m = 0, whose would-be exceptional summand of dimension 2 is
-    itself a free block of rank one and must appear as such.
+    consistent with m = -inf, with an undecided m <= 0, and with m = 0 where
+    galois_module.exceptional_range leaves 0 out (p = 2): the would-be
+    exceptional summand of dimension 2 is then a free block of rank one and
+    must appear as such.
     """
     from . import galois_module
 
@@ -399,7 +398,8 @@ def cross_check_profile(spec, module):
             return CrossCheckVerdict(
                 spec_m, shape_m, "no exceptional summand; consistent with m <= 0"
             )
-        if spec_m == 0 and module.p == 2 and shape.free_ranks[1] > 0:
+        m0_is_free = 0 not in galois_module.exceptional_range(module.p, module.n)
+        if spec_m == 0 and m0_is_free and shape.free_ranks[1] > 0:
             return CrossCheckVerdict(
                 spec_m,
                 shape_m,

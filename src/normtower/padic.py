@@ -5,7 +5,6 @@ The one intrinsically 2-adic quantity, the root of a unit u = 1 mod 8, is
 an int carried to the number of digits its caller asks for.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +44,7 @@ def hensel_sqrt(u, digits):
 
 
 def _norm_place(place):
-    if place == INFINITE_PLACE or place == math.inf:
+    if place == INFINITE_PLACE:
         return INFINITE_PLACE
     if isinstance(place, int) and is_prime(place):
         return place

@@ -1,14 +1,16 @@
 """Root-of-unity content of a base field.
 
-Records, for each prime p, the largest k with a primitive p^k-th root of
-unity present. Two encodings: a cyclotomic field by its conductor
-(normalized odd or divisible by 4), or a finite field by its order. The
-norm chain reads m of the canonical Kummer tower off that content.
+The roots of unity of the base form a cyclic group of order w, and the
+largest k with a primitive p^k-th root of unity present is v_p(w). Two
+encodings: a cyclotomic field Q(xi_N) by its conductor N (normalized odd or
+divisible by 4), whose w is 2N for odd N and N for even N, or a finite field
+F_q by its order, whose w is q - 1. The norm chain reads m = n - v_p(w) of
+the canonical degree-p^n Kummer tower off that content.
 """
 
 from dataclasses import dataclass
 
-from .errors import InternalCheckError, MissingRootOfUnity
+from .errors import MissingRootOfUnity
 from .mvalue import NEG_INF
 from .numtheory import factorize, is_prime, json_int, valuation
 
@@ -47,18 +49,18 @@ class RootOfUnityContent:
         return cls("finite_field", order)
 
     def max_power(self, p):
-        """Largest k with a primitive p^k-th root of unity, 0 if none.
+        """Largest k with a primitive p^k-th root of unity, 0 if none: v_p(w)
+        for w the order of the base's roots of unity.
 
-        Cyclotomic: xi_{p^k} in Q(xi_N) iff p^k | N, except that -1 is
-        always present. Finite field: iff p^k | l - 1 (so 0 whenever p is
-        the characteristic).
+        Q(xi_N) holds exactly the 2N-th roots of unity for odd N and the N-th
+        for even N; F_q holds the (q - 1)-th, so none of order p when p is
+        the characteristic.
         """
         if self.kind == "cyclotomic":
-            k = valuation(self.value, p) if self.value > 1 else 0
-            if p == 2:
-                k = max(k, 1)
-            return k
-        return valuation(self.value - 1, p) if (self.value - 1) % p == 0 else 0
+            w = self.value if self.value % 2 == 0 else 2 * self.value
+        else:
+            w = self.value - 1
+        return valuation(w, p)
 
     def describe(self):
         if self.kind == "cyclotomic":
@@ -88,9 +90,9 @@ def m_from_root_content(base, p, n):
 
     The chain: xi_p is a norm from level n down to level i exactly when
     xi_p is a p^(n-i)-th power of a root of unity in the base, i.e. when
-    xi_{p^(n-i+1)} is present. So with s the largest power present,
-    membership starts at level n-s+1 and m = n - s, or -infinity when s
-    exceeds n (membership already at level 0).
+    xi_{p^(n-i+1)} is present. So with s = max_power(p) the levels i with
+    n - i + 1 <= s are the members, they start at level n - s + 1, and
+    m = n - s; when s exceeds n, level 0 is a member and m = -infinity.
     """
     if not is_prime(p) or n < 1:
         raise ValueError("p must be prime and n >= 1")
@@ -99,9 +101,4 @@ def m_from_root_content(base, p, n):
         raise MissingRootOfUnity(
             f"xi_{p} is not in {base.describe()}; m is undefined here"
         )
-    members = [i for i in range(n + 1) if n - i + 1 <= s]
-    if members != list(range(members[0], n + 1)):
-        raise InternalCheckError("norm membership set is not upward closed")
-    if members[0] == 0:
-        return NEG_INF
-    return members[0] - 1
+    return NEG_INF if s > n else n - s

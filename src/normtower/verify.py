@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidShape
 from .mvalue import NEG_INF
 # c10 reads its places off the primes it draws, not off factorize; the name
 # stays bound here because perfbench/tracing.py wraps every module binding of
@@ -195,13 +194,7 @@ def _check_classifier(ctx):
     small = []
     for p in (2, 3):
         for n in range(1, 4):
-            exc_options = [None]
-            for m in range(n):
-                try:
-                    galois_module.DecompositionShape(p, n, (0,) * (n + 1), m)
-                except InvalidShape:
-                    continue
-                exc_options.append(m)
+            exc_options = [None, *galois_module.exceptional_range(p, n)]
             for ranks in itertools.product(range(3), repeat=n + 1):
                 for exc in exc_options:
                     if exc is None and not any(ranks):

@@ -536,6 +536,33 @@ def test_internal_invariant_violation_exits_3(capsys, monkeypatch, tmp_path):
     assert "Traceback" not in err
 
 
+def test_key_error_is_internal(capsys, monkeypatch, tmp_path):
+    # no input check raises KeyError, so one is a bug, not a usage error
+    from normtower import m_invariant
+
+    def key_error(spec):
+        raise KeyError("variant")
+
+    monkeypatch.setattr(m_invariant, "explain_m", key_error)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"variant": "brauer_rowen", "p": 2, "n": 3, "t": 1}')
+    code, out, err = run(capsys, "m-compute", "--spec", str(spec))
+    assert (code, out) == (3, "")
+    assert err == "internal error: KeyError: 'variant'\n"
+
+
+def test_deeply_nested_json_exits_1(capsys, monkeypatch, tmp_path):
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for command in (["decompose"], ["m-compute", "--spec"]):
+        code, out, err = run(capsys, *command, str(path))
+        assert (code, out, err) == (1, "", f"error: {path}: invalid JSON: nested too deeply\n")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+        code, out, err = run(capsys, *command, "-")
+        assert (code, out, err) == (1, "", "error: -: invalid JSON: nested too deeply\n")
+
+
 def test_output_is_deterministic(capsys):
     # c09 draws from the seeded generator, so two runs must agree exactly
     first = run(capsys, "verify-paper", "--only", "c09", "--format", "json")

@@ -32,11 +32,28 @@ CLI = {"normtower", "normtower.cli", "normtower.errors", "normtower.mvalue", "no
         (["hilbert", "--a=-3/4", "--b", "6", "--place", "all"], {"padic"}),
         (["cocycle-check", "--a", "8", "--b", "2", "--r", "4"], {"cohomology"}),
         (["decompose", "module.json"], {"galois_module", "fp_linalg", "_kernels", "packing"}),
+        (
+            ["synthesize", "--p", "3", "--n", "2", "--free-ranks", "1,0,1", "--exceptional", "1"],
+            {"galois_module", "fp_linalg", "_kernels", "packing"},
+        ),
         (["m-compute", "--spec", "spec.json"], {"m_invariant", "roots"}),
+        (["find-prime", "--p", "3", "--n", "2"], {"m_invariant", "roots"}),
         (["verify-paper", "--only", "c05"], {"verify", "roots", "cohomology"}),
         (["algebra", "--l", "2", "--d", "1", "--r", "3", "--b", "1"], {"cyclic_algebra", "_kernels", "packing"}),
+        (["ufd-check", "--l", "3", "--n", "2", "--deg", "2"], {"ufd_norm", "packing"}),
     ],
-    ids=["import", "hilbert", "cocycle-check", "decompose", "m-compute", "verify-paper-c05", "algebra"],
+    ids=[
+        "import",
+        "hilbert",
+        "cocycle-check",
+        "decompose",
+        "synthesize",
+        "m-compute",
+        "find-prime",
+        "verify-paper-c05",
+        "algebra",
+        "ufd-check",
+    ],
 )
 def test_loaded_modules(tmp_path, argv, extra):
     (tmp_path / "module.json").write_text('{"p": 2, "n": 2, "sigma": [[1, 1], [0, 1]]}')

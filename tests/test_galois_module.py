@@ -18,6 +18,7 @@ from normtower.galois_module import (
     conjugate,
     decompose,
     enumerate_shapes,
+    exceptional_range,
     jordan_profile,
     m_from_shape,
     module_from_json,
@@ -27,6 +28,7 @@ from normtower.galois_module import (
     synthesize,
 )
 from normtower.mvalue import UNDETERMINED
+from normtower.numtheory import is_prime
 
 
 def gmodule(p, n, rows):
@@ -84,6 +86,30 @@ def test_shape_validation():
     shape = DecompositionShape(2, 2, (0, 0, 0), 1)
     assert shape.exceptional_dim == 3
     assert shape.block_sizes() == (3,)
+
+
+def test_exceptional_range_matches_power_test():
+    # the reference is the test the shape and the classifier made before:
+    # m < n is exceptional when p^m + 1 is not a power of p
+    for p in filter(is_prime, range(2, 100)):
+        for n in range(9):
+            expected = [
+                m for m in range(n) if galois_module._power_exponent(p**m + 1, p) is None
+            ]
+            assert list(exceptional_range(p, n)) == expected, (p, n)
+
+
+def test_gmodule_refuses_past_max_dim_before_ranks(monkeypatch):
+    def no_ranks(*args):
+        raise AssertionError("rank sequence taken")
+
+    monkeypatch.setattr(galois_module._kernels, "nilpotent_rank_sequence", no_ranks)
+    d = galois_module.MAX_DIM + 1
+    identity = FpMatrix(2, d, d, [int(i % (d + 1) == 0) for i in range(d * d)])
+    with pytest.raises(SearchSpaceTooLarge, match=f"^dimension {d} > 512$"):
+        GModule(2, 1, identity)
+    with pytest.raises(SearchSpaceTooLarge, match="^dimension 600 > 512$"):
+        decompose(module_from_profile(3, 1, [1] * 600))
 
 
 def test_classifier_prefers_free_blocks():

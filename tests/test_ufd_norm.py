@@ -10,6 +10,7 @@ from normtower.errors import (
     SearchSpaceTooLarge,
 )
 from normtower.mvalue import NEG_INF
+from normtower.numtheory import valuation
 from normtower.roots import RootOfUnityContent, m_from_root_content
 from normtower.ufd_norm import MAX_WORK, PropositionReport, proposition_check
 from ufd_reference import PolyRing, orbit_norm, proposition_check_dict, rational_function
@@ -184,6 +185,43 @@ def test_root_content_normalization():
     assert content.max_power(2) == 2
     assert RootOfUnityContent.cyclotomic(16).max_power(2) == 4
     assert RootOfUnityContent.cyclotomic(16).max_power(3) == 0
+
+
+def max_power_reference(content, p):
+    """max_power as per-kind branches: p^k | N in Q(xi_N) with -1 always
+    present, p^k | q - 1 in F_q."""
+    if content.kind == "cyclotomic":
+        k = valuation(content.value, p) if content.value > 1 else 0
+        return max(k, 1) if p == 2 else k
+    return valuation(content.value - 1, p) if (content.value - 1) % p == 0 else 0
+
+
+PRIME_POWER_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125, 169)
+
+
+def test_max_power_matches_per_kind_reference():
+    contents = [RootOfUnityContent.cyclotomic(c) for c in range(1, 3000)]
+    contents += [RootOfUnityContent.finite_field(q) for q in PRIME_POWER_ORDERS]
+    for content in contents:
+        for p in (2, 3, 5, 7, 11, 13):
+            assert content.max_power(p) == max_power_reference(content, p), (content, p)
+
+
+def m_from_members_reference(s, n):
+    """m read off the levels 0..n to which xi_p is a norm, those with
+    n - i + 1 <= s: one below the least, or -inf when level 0 is one."""
+    members = [i for i in range(n + 1) if n - i + 1 <= s]
+    assert members == list(range(members[0], n + 1))
+    return NEG_INF if members[0] == 0 else members[0] - 1
+
+
+def test_m_from_root_content_matches_membership_chain():
+    for p in (2, 3, 5, 7):
+        for n in range(1, 7):
+            for s in range(1, n + 3):
+                base = RootOfUnityContent.cyclotomic(p**s)
+                assert base.max_power(p) == s
+                assert m_from_root_content(base, p, n) == m_from_members_reference(s, n)
 
 
 def test_root_content_json_roundtrip():
