@@ -133,8 +133,8 @@ def extension_isomorphism(a, b, r):
     carrying(a,b,r) define isomorphic extensions via (m, i) -> (m + shift[i],
     i), shift[i] = floor(i/b). Both tables are checked to be cocycles. The
     map translates the fibre over each i, so it is bijective and fixes the
-    quotient Z/a by its form; it fixes the central Z/r = {(m, 0)} iff
-    shift[0] = 0, and it is multiplicative iff shift_defect finds nothing.
+    quotient Z/a by its form, fixes the central Z/r = {(m, 0)} as shift[0] =
+    floor(0/b) = 0, and is multiplicative iff shift_defect finds nothing.
     The two classes must then share their invariant. Above MAX_A or
     MAX_ORDER this raises SearchSpaceTooLarge before any table is built.
     """
@@ -153,8 +153,6 @@ def extension_isomorphism(a, b, r):
     if defect is not None:
         i, j = defect
         raise InternalCheckError(f"carry-shift map fails at {(0, i)} * {(0, j)}")
-    if shift[0] % r != 0:
-        raise InternalCheckError("carry-shift map moves the center")
     if inv_phi != inv_psi:
         raise InternalCheckError("isomorphic extensions with different invariants")
     return IsomorphismWitness(q, phi, psi, shift, inv_psi)

@@ -329,20 +329,15 @@ def split_certificate(tower, b):
 
     With N(w) = b and v = u w^(-1) one has v^r = 1, so z = 1 + v + ... +
     v^(r-1) commutes with v and v z = z v = v + ... + v^r = z, that is
-    z (v - 1) = (v - 1) z = 0. As v != 1, the nonzero element v - 1 lies in
-    the kernel of left multiplication by z, so the regular matrix of z is
-    singular over L. One loop forms v^2, ..., v^r and sums z on the way;
-    v != 1, v^r = 1, z != 0, v z = z and z v = z are each re-verified on
-    the constructed elements.
+    z (v - 1) = (v - 1) z = 0. v != 1 by construction (slot 0 of v is 0), so
+    v - 1 is a nonzero kernel vector of left multiplication by z, and the
+    regular matrix of z is singular over L. One loop forms v^2, ..., v^r and
+    sums z on the way; v^r = 1, z != 0, v z = z and z v = z are re-verified.
     """
     w = solve_norm(tower, b)
     f, r = tower.field, tower.r
-    if tower.norm(w) != b:
-        raise InternalCheckError("norm preimage does not hit b")
     one = ca_one(tower, b)
     v = AlgebraElement(tower, b, (0, f.inv(f.encode(w))) + (0,) * (r - 2))
-    if v == one:
-        raise InternalCheckError("v = u/w is 1")
     z, vj = one, v
     for _ in range(r - 1):
         z = ca_add(z, vj)
@@ -373,25 +368,20 @@ class LadderRow:
 
 
 def index_ladder(p, n):
-    """Centralizer dimensions and indices along the tower, as exact identities.
+    """Centralizer dimensions and indices along the tower, from their formulas.
 
-    For each level the double-centralizer count dim_F C * [F_i : F] must
-    equal dim_F A = p^(2n), and the index must be the square root of the
-    centralizer dimension; both are asserted, not assumed.
+    At level i, dim_F C * [F_i : F]^2 = p^(2(n-i+1)) p^(2(i-1)) = p^(2n) is
+    the double-centralizer count and the index p^(n-i+1) is the square root
+    of dim_F C: identities of powers of p, which verify-paper's c08 re-derives.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = p ** (2 * n)
     rows = []
     for i in range(1, n + 1):
         base_degree = p ** (i - 1)
         centralizer_dim = p ** (2 * (n - i + 1))
         index = p ** (n - i + 1)
-        if centralizer_dim * base_degree * base_degree != total:
-            raise InternalCheckError(f"double centralizer fails at level {i}")
-        if index * index != centralizer_dim:
-            raise InternalCheckError(f"index is not sqrt of centralizer at {i}")
         rows.append(LadderRow(i, base_degree, centralizer_dim, index, n - i))
     return tuple(rows)

@@ -102,7 +102,14 @@ def compute_m(spec):
 
 
 def explain_m(spec):
+    """The MResult of a spec: int fields are ints, p is prime, n >= 1; _m_* check the rest."""
     _, compute = _variant(spec)
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        _require(field.type is not int or type(value) is int, "{} must be an int, got {}",
+                 field.name, value)
+    _require(is_prime(spec.p), "{} is not prime", spec.p)
+    _require(spec.n >= 1, "n must be >= 1")
     return compute(spec)
 
 
@@ -115,8 +122,6 @@ def _require(cond, message, *args):
 
 def _m_brauer_rowen(spec):
     p, n, t = spec.p, spec.n, spec.t
-    _require(is_prime(p), "{} is not prime", p)
-    _require(n >= 1, "n must be >= 1")
     _require(0 <= t <= n - 1, "t must lie in 0..n-1, got {}", t)
     base = RootOfUnityContent.cyclotomic(p ** (n - t))
     m = m_from_root_content(base, p, n)
@@ -135,8 +140,6 @@ def _m_brauer_rowen(spec):
 
 def _m_function_field(spec):
     p, n = spec.p, spec.n
-    _require(is_prime(p), "{} is not prime", p)
-    _require(n >= 1, "n must be >= 1")
     try:
         m = m_from_root_content(spec.base, p, n)
     except MissingRootOfUnity as err:
@@ -159,8 +162,6 @@ def _m_function_field(spec):
 
 def _m_local_cyclotomic(spec):
     p, n, q = spec.p, spec.n, spec.q
-    _require(is_prime(p), "{} is not prime", p)
-    _require(n >= 1, "n must be >= 1")
     if residue_norm_test(p, n, q):
         raise InternalCheckError(f"v_{p}(q - 1) = {n} but (q-1)/p^n is divisible by {p}")
     cofactor = (q - 1) // p**n
@@ -178,9 +179,7 @@ def _m_local_cyclotomic(spec):
 
 def _m_local_kummer(spec):
     p, n, l = spec.p, spec.n, spec.l
-    _require(is_prime(p), "{} is not prime", p)
     _require(is_prime(l), "{} is not prime", l)
-    _require(n >= 1, "n must be >= 1")
     return MResult(
         NEG_INF,
         (
@@ -284,7 +283,7 @@ def _variant(spec):
 def find_dirichlet_prime(p, n, limit=10**6):
     """Smallest prime q with q = 1 + p^n mod p^(n+1); n is at most MAX_N.
     A limit below 1 + p^n is refused before p is tested."""
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("p must be prime and n >= 1")
     if n > MAX_N:
         raise ValueError(f"n must be at most {MAX_N}, got {n}")
@@ -347,7 +346,7 @@ def index_bound_check(m, ind, p=None):
     """
     if ind < 1:
         raise ValueError("index must be a positive integer")
-    if m != NEG_INF and (not isinstance(m, int) or m < 0):
+    if m != NEG_INF and (type(m) is not int or m < 0):
         raise ValueError(f"m must be -inf or a non-negative integer, got {m!r}")
     if ind == 1:
         return True

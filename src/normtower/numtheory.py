@@ -60,9 +60,11 @@ def is_prime(n):
 
 
 def valuation(n, p):
-    """Largest k with p^k dividing n; n must be a nonzero integer."""
+    """Largest k with p^k dividing n; n must be a nonzero integer, p >= 2."""
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
+    if p < 2:
+        raise ValueError(f"valuation needs p >= 2, got {shown(p)}")
     n = abs(n)
     k = 0
     while n % p == 0:
@@ -120,7 +122,9 @@ def _trial_divide(value, unit, factors):
 
 
 def legendre(a, p):
-    """Legendre symbol (a/p) for odd prime p, in {-1, 0, 1}."""
+    """Legendre symbol (a/p) for an odd prime p, in {-1, 0, 1}; an even p or p < 3 is refused."""
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"Legendre symbol needs an odd prime, got {shown(p)}")
     a %= p
     if a == 0:
         return 0

@@ -4,6 +4,7 @@ import pytest
 
 from normtower import fp_linalg, galois_module
 from normtower.errors import (
+    InternalCheckError,
     InvalidShape,
     NotRealizable,
     OrderViolation,
@@ -83,9 +84,22 @@ def test_shape_validation():
     # p = 2, m = 0 would have dimension 2 = p^1: that summand is free
     with pytest.raises(InvalidShape):
         DecompositionShape(2, 2, (0, 0, 0), 0)
+    with pytest.raises(InvalidShape, match="^p must be prime and n >= 1$"):
+        DecompositionShape(4, 1, (1, 0), None)
+    with pytest.raises(InvalidShape, match="^free ranks must be non-negative integers$"):
+        DecompositionShape(3, 1, (-1, 1), None)
     shape = DecompositionShape(2, 2, (0, 0, 0), 1)
     assert shape.exceptional_dim == 3
     assert shape.block_sizes() == (3,)
+
+
+def test_jordan_profile_refuses_a_negative_block_count(monkeypatch):
+    mod = module_from_profile(2, 2, [2, 1])
+    assert jordan_profile(mod) == (2, 1)
+    # r = 3, 2, 0 gives r_0 - 2 r_1 + r_2 = -1 blocks of size 1
+    monkeypatch.setattr(mod, "_ranks", [3, 2, 0])
+    with pytest.raises(InternalCheckError, match="negative block count at size 1"):
+        jordan_profile(mod)
 
 
 def test_exceptional_range_matches_power_test():

@@ -288,11 +288,52 @@ def test_cross_check_mismatches():
     )
     with pytest.raises(CrossCheckMismatch):
         cross_check_profile(spec, all_free)
+    exceptional_m1 = galois_module.synthesize(
+        galois_module.DecompositionShape(3, 2, (0, 0, 0), 1)
+    )
+    with pytest.raises(CrossCheckMismatch) as err:
+        cross_check_profile(BrauerRowenSpec(3, 2, 0), exceptional_m1)  # m = 0
+    assert (err.value.first, err.value.second) == ("0", "1")
     wrong_pn = galois_module.synthesize(
         galois_module.DecompositionShape(3, 2, (1, 0, 0), None)
     )
     with pytest.raises(ValueError):
         cross_check_profile(spec, wrong_pn)
+
+
+P_N_VARIANTS = {
+    "brauer_rowen": lambda p, n: BrauerRowenSpec(p, n, 0),
+    "function_field": lambda p, n: FunctionFieldSpec(p, n, RootOfUnityContent.cyclotomic(3)),
+    "local_cyclotomic": lambda p, n: LocalCyclotomicSpec(p, n, 13),
+    "local_kummer": lambda p, n: LocalKummerSpec(p, n, 5),
+}
+
+
+@pytest.mark.parametrize("make", P_N_VARIANTS.values(), ids=P_N_VARIANTS.keys())
+def test_shared_p_n_preconditions(make):
+    with pytest.raises(InadmissibleSpec, match="^4 is not prime$"):
+        compute_m(make(4, 1))
+    with pytest.raises(InadmissibleSpec, match="^n must be >= 1$"):
+        compute_m(make(3, 0))
+
+
+def test_local_kummer_names_n_before_l():
+    with pytest.raises(InadmissibleSpec, match="^n must be >= 1$"):
+        compute_m(LocalKummerSpec(3, 0, 6))
+    with pytest.raises(InadmissibleSpec, match="^6 is not prime$"):
+        compute_m(LocalKummerSpec(3, 1, 6))
+
+
+def test_int_fields_refuse_bool_and_float():
+    for make in P_N_VARIANTS.values():
+        with pytest.raises(InadmissibleSpec, match="^n must be an int, got True$"):
+            compute_m(make(3, True))
+    with pytest.raises(InadmissibleSpec, match="^t must be an int, got True$"):
+        compute_m(BrauerRowenSpec(3, 2, True))
+    with pytest.raises(InadmissibleSpec, match="^a must be an int, got 17.0$"):
+        compute_m(BiquadraticSpec(17.0, -1))
+    with pytest.raises(InadmissibleSpec, match="^q must be an int, got 13.0$"):
+        compute_m(LocalCyclotomicSpec(3, 1, 13.0))
 
 
 def test_spec_json_roundtrip():
