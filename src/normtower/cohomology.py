@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InternalCheckError, NotACocycle, SearchSpaceTooLarge
+from .numtheory import whole
 
 
 @dataclass(frozen=True)
@@ -27,8 +28,8 @@ class Cocycle2:
     table: tuple
 
     def __post_init__(self):
-        if self.a < 1 or self.r < 1:
-            raise ValueError("a and r must be positive")
+        whole(self.a, "a", floor=1)
+        whole(self.r, "r", floor=1)
         if len(self.table) != self.a or any(len(row) != self.a for row in self.table):
             raise ValueError("table must be a x a")
         if any(x % self.r != x for row in self.table for x in row):
@@ -50,10 +51,10 @@ def carrying_cocycle(a, b, r):
     when (i mod b) + (j mod b) >= b. With b = a it is the full wrap-around
     cocycle of the cyclic extension Z/ar of Z/a.
     """
-    if b < 1 or a % b != 0:
+    if a % whole(b, "b", floor=1) != 0:
         raise ValueError("b must be a positive divisor of a")
-    if r < 1:
-        raise ValueError("a and r must be positive")
+    whole(r, "r", floor=1)
+    whole(a, "a", floor=1)
     table = tuple(
         tuple(((i + j) // b - i // b - j // b) % r for j in range(a)) for i in range(a)
     )
@@ -138,11 +139,11 @@ def extension_isomorphism(a, b, r):
     The two classes must then share their invariant. Above MAX_A or
     MAX_ORDER this raises SearchSpaceTooLarge before any table is built.
     """
-    if b < 1 or a % b != 0:
+    if a % whole(b, "b", floor=1) != 0:
         raise ValueError("b must be a positive divisor of a")
     if a > MAX_A:
         raise SearchSpaceTooLarge(f"a = {a} > {MAX_A}")
-    if a * r > MAX_ORDER:
+    if a * whole(r, "r", floor=1) > MAX_ORDER:
         raise SearchSpaceTooLarge(f"group order a * r = {a} * {r} > {MAX_ORDER}")
     q = a // b
     psi = carrying_cocycle(a, b, r)

@@ -18,7 +18,7 @@ from operator import mul
 
 from . import _kernels, packing
 from .errors import InternalCheckError, SearchSpaceTooLarge
-from .numtheory import is_prime
+from .numtheory import MAX_N, is_prime, whole
 
 # ---------------------------------------------------------------------------
 # finite fields F_{l^k}, elements packed one field per coefficient
@@ -144,10 +144,9 @@ class FiniteField(_Quotient):
     """F_{l^k} as F_l[x]/(f), on the packed elements of _Quotient."""
 
     def __init__(self, l, k):
-        if not is_prime(l):
+        if not is_prime(whole(l, "l")):
             raise ValueError(f"{l} is not prime")
-        if k < 1:
-            raise ValueError("degree must be >= 1")
+        whole(k, "degree", floor=1)
         # before the modulus search; l^k >= 2^(k (bitlen(l) - 1)) and 2^17 >
         # MAX_FIELD_ORDER, so a huge k is refused without forming l^k
         if k * (l.bit_length() - 1) > 16 or l**k > MAX_FIELD_ORDER:
@@ -191,10 +190,8 @@ class FiniteFieldTower:
     Its methods take and return encodings."""
 
     def __init__(self, l, d, r):
-        if r < 2:
-            raise ValueError("relative degree r must be >= 2")
-        if d < 1:
-            raise ValueError("base degree d must be >= 1")
+        whole(r, "relative degree r", floor=2)
+        whole(d, "base degree d", floor=1)
         self.l = l
         self.d = d
         self.r = r
@@ -374,10 +371,9 @@ def index_ladder(p, n):
     the double-centralizer count and the index p^(n-i+1) is the square root
     of dim_F C: identities of powers of p, which verify-paper's c08 re-derives.
     """
-    if not is_prime(p):
+    if not is_prime(whole(p, "p")):
         raise ValueError(f"{p} is not prime")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    whole(n, "n", floor=1, ceiling=MAX_N)
     rows = []
     for i in range(1, n + 1):
         base_degree = p ** (i - 1)

@@ -6,17 +6,17 @@ the heavy loops live in _kernels.
 
 from . import _kernels
 from .errors import NotInvertible
-from .numtheory import is_prime
+from .numtheory import is_prime, whole
 
 
 class FpMatrix:
     __slots__ = ("p", "rows", "cols", "entries")
 
     def __init__(self, p, rows, cols, entries):
-        if not is_prime(p):
+        if not is_prime(whole(p, "modulus")):
             raise ValueError(f"modulus {p} is not prime")
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix must have positive dimensions")
+        whole(rows, "rows", floor=1)
+        whole(cols, "cols", floor=1)
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
         self.p = p

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fp_linalg import FpMatrix
 from .mvalue import UNDETERMINED
-from .numtheory import MAX_N, is_prime, json_int, shown
+from .numtheory import MAX_N, is_prime, json_int, shown, whole
 
 
 # largest module dimension, and so largest shape, module file and synthesize
@@ -34,8 +34,8 @@ MAX_DIM = 512
 
 
 class GModule:
-    """A matrix sigma in GL_d(F_p) with sigma^(p^n) = 1, of dimension at most
-    MAX_DIM; a larger one raises SearchSpaceTooLarge before any rank is taken."""
+    """A matrix sigma in GL_d(F_p) with sigma^(p^n) = 1, n in 1..MAX_N and d at
+    most MAX_DIM; a larger d raises SearchSpaceTooLarge before any rank is taken."""
 
     __slots__ = ("p", "n", "sigma", "_ranks")
 
@@ -43,8 +43,7 @@ class GModule:
         # FpMatrix has proved sigma.p prime
         if sigma.p != p:
             raise ValueError("sigma modulus differs from p")
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        whole(n, "n", floor=1, ceiling=MAX_N)
         if sigma.rows != sigma.cols:
             raise ValueError("sigma must be square")
         if sigma.rows > MAX_DIM:
@@ -88,19 +87,16 @@ class DecompositionShape:
     exceptional: object = None
 
     def __post_init__(self):
-        p, n = self.p, self.n
-        if n > MAX_N:
-            raise ValueError(f"n must be at most {MAX_N}, got {n}")
+        p, n = whole(self.p, "p"), whole(self.n, "n", ceiling=MAX_N)
         if n < 1 or p < 2:
             raise InvalidShape("p must be prime and n >= 1")
         if len(self.free_ranks) != n + 1:
             raise InvalidShape(f"free_ranks needs exactly {n + 1} entries")
-        if any(type(y) is not int or y < 0 for y in self.free_ranks):
-            raise InvalidShape("free ranks must be non-negative integers")
+        for i, y in enumerate(self.free_ranks):
+            whole(y, f"free rank y_{i}", floor=0, error=InvalidShape)
         m = self.exceptional
         if m is not None:
-            if type(m) is not int or not 0 <= m < n:
-                raise InvalidShape(f"exceptional m must satisfy 0 <= m < n, got {m!r}")
+            whole(m, "exceptional m", floor=0, ceiling=n - 1, error=InvalidShape)
             if m not in exceptional_range(p, n):
                 raise InvalidShape(
                     f"dimension p^{m}+1 = {p ** m + 1} is a power of {p}; "
@@ -184,6 +180,7 @@ def classify_profile(profile, p, n):
     p = 2. A non-power size must equal p^m + 1 for a single m < n, at most
     once; anything else is not realizable in this module category.
     """
+    whole(n, "n", floor=1, ceiling=MAX_N)
     free = [0] * (n + 1)
     exceptional = None
     for size in profile:
@@ -242,8 +239,9 @@ def synthesize(shape):
 
 def module_from_profile(p, n, sizes):
     """Block-diagonal module with the given block sizes (any partition, parts <= p^n)."""
-    if any(s < 1 or s > p**n for s in sizes):
-        raise ValueError("block sizes must lie in 1..p^n")
+    top = p ** whole(n, "n", floor=1, ceiling=MAX_N)
+    for s in sizes:
+        whole(s, "block size", floor=1, ceiling=top)
     return GModule(p, n, _block_diagonal(p, sorted(sizes, reverse=True)))
 
 
@@ -270,6 +268,7 @@ def random_gmodule(p, n, dim, seed=0):
 
 def enumerate_shapes(p, n, max_dim):
     """All valid shapes with 1 <= total_dim <= max_dim, deterministic order."""
+    whole(n, "n", floor=1, ceiling=MAX_N)
     exc_options = [None, *(m for m in exceptional_range(p, n) if p**m + 1 <= max_dim)]
     shapes = []
     for exc in exc_options:

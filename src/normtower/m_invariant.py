@@ -20,7 +20,7 @@ from .errors import (
     NotFoundBelowLimit,
 )
 from .mvalue import NEG_INF, UNDETERMINED, UNDETERMINED_LE0, format_m
-from .numtheory import _MR_BASES, MAX_N, factorize, is_prime, json_int, shown, valuation
+from .numtheory import _MR_BASES, MAX_N, factorize, is_prime, json_int, shown, valuation, whole
 from .roots import RootOfUnityContent, m_from_root_content
 
 # padic (biquadratic only) and galois_module (cross_check_profile only) are
@@ -102,14 +102,14 @@ def compute_m(spec):
 
 
 def explain_m(spec):
-    """The MResult of a spec: int fields are ints, p is prime, n >= 1; _m_* check the rest."""
+    """The MResult of a spec. Checked here, as InadmissibleSpec: each int field
+    passes whole, p is prime and n lies in 1..MAX_N; _m_* check the rest."""
     _, compute = _variant(spec)
     for field in fields(spec):
-        value = getattr(spec, field.name)
-        _require(field.type is not int or type(value) is int, "{} must be an int, got {}",
-                 field.name, value)
+        if field.type is int:
+            whole(getattr(spec, field.name), field.name, error=InadmissibleSpec)
     _require(is_prime(spec.p), "{} is not prime", spec.p)
-    _require(spec.n >= 1, "n must be >= 1")
+    whole(spec.n, "n", floor=1, ceiling=MAX_N, error=InadmissibleSpec)
     return compute(spec)
 
 
@@ -226,9 +226,8 @@ def _m_biquadratic(spec):
     # only the valuation and the unit mod 8, so the int mod 2^(precision - 1)
     # stands for the 2-adic value exactly
     precision = 2 * valuation(c, 2) + 3
+    # a = 1 + c^2 = 1 mod 16, so hensel_sqrt finds the root
     root = padic.hensel_sqrt(a, precision)
-    if root is None:
-        raise InternalCheckError("a = 1 mod 8 must be a 2-adic square")
     evidence.append(
         f"sqrt({a_text}) exists in Q_2 (unit 1 mod 8); both completions over 2 are Q_2"
     )
@@ -281,14 +280,10 @@ def _variant(spec):
 
 
 def find_dirichlet_prime(p, n, limit=10**6):
-    """Smallest prime q with q = 1 + p^n mod p^(n+1); n is at most MAX_N.
+    """Smallest prime q with q = 1 + p^n mod p^(n+1); n lies in 1..MAX_N.
     A limit below 1 + p^n is refused before p is tested."""
-    if type(n) is not int or n < 1:
-        raise ValueError("p must be prime and n >= 1")
-    if n > MAX_N:
-        raise ValueError(f"n must be at most {MAX_N}, got {n}")
-    start = 1 + p**n
-    if limit < start:
+    start = 1 + whole(p, "p") ** whole(n, "n", floor=1, ceiling=MAX_N)
+    if whole(limit, "limit") < start:
         raise ValueError(f"limit {limit} is below 1 + p^n = {shown(start, f'1 + {p}^{n}')}")
     if not is_prime(p):
         raise ValueError("p must be prime and n >= 1")
@@ -329,9 +324,10 @@ def residue_norm_test(p, n, q):
     makes p^n divide q - 1, so a q past is_prime's exact bound is proved
     prime the way find_dirichlet_prime proves its candidates. Off the class
     q keeps plain is_prime, so a composite q is reported as not prime
-    before the class is checked.
+    before the class is checked. p, n and q are ints, n in 1..MAX_N.
     """
-    pn = p**n
+    whole(q, "q")
+    pn = whole(p, "p") ** whole(n, "n", floor=1, ceiling=MAX_N)
     congruent = q % (p * pn) == (1 + pn) % (p * pn)
     proved = _is_candidate_prime(q, p, pn) if congruent else is_prime(q)
     _require(proved, "q = {} is not prime", q)
@@ -344,10 +340,11 @@ def index_bound_check(m, ind, p=None):
 
     p is inferred from ind when not given; ind = 1 passes for every m.
     """
-    if ind < 1:
-        raise ValueError("index must be a positive integer")
-    if m != NEG_INF and (type(m) is not int or m < 0):
-        raise ValueError(f"m must be -inf or a non-negative integer, got {m!r}")
+    whole(ind, "index", floor=1)
+    if m != NEG_INF:
+        whole(m, "m", floor=0)
+    if p is not None:
+        whole(p, "p")
     if ind == 1:
         return True
     _, fac = factorize(ind)

@@ -1,5 +1,5 @@
 """Elementary number theory helpers: primality, factorization, Legendre
-symbols, how a message shows an int, and how JSON input gives one."""
+symbols, how a message shows an int, the int rule and how JSON gives an int."""
 
 from fractions import Fraction
 
@@ -61,10 +61,9 @@ def is_prime(n):
 
 def valuation(n, p):
     """Largest k with p^k dividing n; n must be a nonzero integer, p >= 2."""
-    if n == 0:
+    if whole(n, "n") == 0:
         raise ValueError("valuation of 0 is undefined")
-    if p < 2:
-        raise ValueError(f"valuation needs p >= 2, got {shown(p)}")
+    whole(p, "p", floor=2)
     n = abs(n)
     k = 0
     while n % p == 0:
@@ -137,15 +136,22 @@ def legendre(a, p):
 MAX_N = 64
 
 
+def whole(x, name, floor=None, ceiling=None, error=ValueError):
+    """x when it is an int, not a bool, within [floor, ceiling] where given;
+    else `error` naming `name`. Records and entry points call it as an int enters."""
+    if type(x) is not int:
+        raise error(f"{name} must be an integer, got {x!r}")
+    if floor is not None and x < floor:
+        raise error(f"{name} must be >= {floor}")
+    if ceiling is not None and x > ceiling:
+        raise error(f"{name} must be at most {ceiling}, got {shown(x)}")
+    return x
+
+
 def json_int(data, key, what):
-    """data[key], which must be a JSON integer (not a bool, float, string or
-    null), and at most MAX_N for "n"; anything else is a ValueError naming
-    `what`. Module, tower spec and base JSON all read their ints through it."""
+    """data[key], present and passing whole: a JSON integer (not a bool, float,
+    string or null), at most MAX_N for "n"; else a ValueError naming `what` and
+    the key. Module, tower spec and base JSON all read their ints through it."""
     if key not in data:
         raise ValueError(f"{what} JSON lacks key {key!r}")
-    value = data[key]
-    if type(value) is not int:
-        raise ValueError(f"{what} JSON {key!r} must be an integer, got {value!r}")
-    if key == "n" and value > MAX_N:
-        raise ValueError(f"{what} JSON 'n' must be at most {MAX_N}, got {value}")
-    return value
+    return whole(data[key], f"{what} JSON {key!r}", ceiling=MAX_N if key == "n" else None)

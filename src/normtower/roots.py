@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import MissingRootOfUnity
 from .mvalue import NEG_INF
-from .numtheory import factorize, is_prime, json_int, valuation
+from .numtheory import MAX_N, factorize, is_prime, json_int, valuation, whole
 
 
 @dataclass(frozen=True)
@@ -22,16 +22,14 @@ class RootOfUnityContent:
 
     def __post_init__(self):
         if self.kind == "cyclotomic":
-            if self.value < 1:
-                raise ValueError("conductor must be positive")
+            whole(self.value, "conductor", floor=1)
             if self.value % 2 == 0 and self.value % 4 != 0:
                 raise ValueError(
                     "conductor must be odd or divisible by 4 "
                     "(Q(xi_2m) = Q(xi_m) for odd m)"
                 )
         elif self.kind == "finite_field":
-            if self.value < 2:
-                raise ValueError("field order must be >= 2")
+            whole(self.value, "field order", floor=2)
             _, fac = factorize(self.value)
             if len(fac) != 1:
                 raise ValueError(f"{self.value} is not a prime power")
@@ -86,7 +84,7 @@ _VALUE_KEYS = {"cyclotomic": "conductor", "finite_field": "order"}
 
 def m_from_root_content(base, p, n):
     """m of the canonical degree-p^n Kummer tower over a base with the
-    given root-of-unity content.
+    given root-of-unity content, for n in 1..MAX_N.
 
     The chain: xi_p is a norm from level n down to level i exactly when
     xi_p is a p^(n-i)-th power of a root of unity in the base, i.e. when
@@ -94,8 +92,9 @@ def m_from_root_content(base, p, n):
     n - i + 1 <= s are the members, they start at level n - s + 1, and
     m = n - s; when s exceeds n, level 0 is a member and m = -infinity.
     """
-    if not is_prime(p) or n < 1:
-        raise ValueError("p must be prime and n >= 1")
+    if not is_prime(whole(p, "p")):
+        raise ValueError(f"{p} is not prime")
+    whole(n, "n", floor=1, ceiling=MAX_N)
     s = base.max_power(p)
     if s < 1:
         raise MissingRootOfUnity(

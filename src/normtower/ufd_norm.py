@@ -13,7 +13,7 @@ from operator import add
 
 from . import packing
 from .errors import InternalCheckError, SearchSpaceTooLarge
-from .numtheory import is_prime
+from .numtheory import is_prime, whole
 
 # ---------------------------------------------------------------------------
 # the bounded unit-norm enumeration
@@ -66,13 +66,12 @@ def proposition_check(l, n, deg_bound, g=None):
         raise SearchSpaceTooLarge("group order beyond 3 is out of desk range")
     if deg_bound > 2:
         raise SearchSpaceTooLarge("degree bound beyond 2 is out of desk range")
-    g = n if g is None else g
-    if not is_prime(l):
+    g = n if g is None else whole(g, "g")
+    if not is_prime(whole(l, "l")):
         raise ValueError(f"{l} is not prime")
-    if n < 1 or g < 1 or g % n:
+    if whole(n, "n") < 1 or g < 1 or g % n:
         raise ValueError("need n >= 1 and n | g")
-    if deg_bound < 0:
-        raise ValueError(f"degree bound must be >= 0, got {deg_bound}")
+    whole(deg_bound, "degree bound", floor=0)
     # count the monomials before listing them, which a large g makes
     # impossible; from 64 monomials on there are over 2^63 representatives,
     # so the count is left as a formula

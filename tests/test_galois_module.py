@@ -86,7 +86,7 @@ def test_shape_validation():
         DecompositionShape(2, 2, (0, 0, 0), 0)
     with pytest.raises(InvalidShape, match="^p must be prime and n >= 1$"):
         DecompositionShape(4, 1, (1, 0), None)
-    with pytest.raises(InvalidShape, match="^free ranks must be non-negative integers$"):
+    with pytest.raises(InvalidShape, match="^free rank y_0 must be >= 0$"):
         DecompositionShape(3, 1, (-1, 1), None)
     shape = DecompositionShape(2, 2, (0, 0, 0), 1)
     assert shape.exceptional_dim == 3

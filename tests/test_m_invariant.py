@@ -326,13 +326,13 @@ def test_local_kummer_names_n_before_l():
 
 def test_int_fields_refuse_bool_and_float():
     for make in P_N_VARIANTS.values():
-        with pytest.raises(InadmissibleSpec, match="^n must be an int, got True$"):
+        with pytest.raises(InadmissibleSpec, match="^n must be an integer, got True$"):
             compute_m(make(3, True))
-    with pytest.raises(InadmissibleSpec, match="^t must be an int, got True$"):
+    with pytest.raises(InadmissibleSpec, match="^t must be an integer, got True$"):
         compute_m(BrauerRowenSpec(3, 2, True))
-    with pytest.raises(InadmissibleSpec, match="^a must be an int, got 17.0$"):
+    with pytest.raises(InadmissibleSpec, match="^a must be an integer, got 17.0$"):
         compute_m(BiquadraticSpec(17.0, -1))
-    with pytest.raises(InadmissibleSpec, match="^q must be an int, got 13.0$"):
+    with pytest.raises(InadmissibleSpec, match="^q must be an integer, got 13.0$"):
         compute_m(LocalCyclotomicSpec(3, 1, 13.0))
 
 

@@ -10,6 +10,7 @@ from normtower.numtheory import (
     is_prime,
     legendre,
     valuation,
+    whole,
 )
 from padic_reference import sqrt_mod_prime
 
@@ -119,6 +120,38 @@ def test_factorize_smooth_past_the_exact_bound():
 def test_factorize_smooth_times_prime(n, expected):
     # trial division stops once d * d passes the cofactor left, not n
     assert factorize(n) == expected
+
+
+def test_factorize_keeps_a_prime_cofactor_past_the_trial_bound():
+    # 10^13 + 37 is prime and above 10^12 = _TRIAL_BOUND^2, so trial division
+    # leaves it whole and is_prime admits it
+    prime = 10**13 + 37
+    assert factorize(2 * prime) == (1, {2: 1, prime: 1})
+    assert factorize(Fraction(1, prime)) == (1, {prime: -1})
+
+
+def test_whole():
+    assert whole(5, "x") == 5
+    assert whole(-3, "x", ceiling=0) == -3
+    assert whole(3, "x", floor=3, ceiling=3) == 3
+    for bad, message in (
+        (True, "x must be an integer, got True"),
+        (2.0, "x must be an integer, got 2.0"),
+        (None, "x must be an integer, got None"),
+    ):
+        with pytest.raises(ValueError) as err:
+            whole(bad, "x", floor=0)
+        assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        whole(0, "n", floor=1)
+    assert str(err.value) == "n must be >= 1"
+    with pytest.raises(FactorizationError) as err:
+        whole(65, "n", ceiling=64, error=FactorizationError)
+    assert str(err.value) == "n must be at most 64, got 65"
+    # an int past what Python prints is named by its size
+    with pytest.raises(ValueError) as err:
+        whole(10**5000, "n", ceiling=64)
+    assert str(err.value) == "n must be at most 64, got <int of 16610 bits>"
 
 
 def test_legendre():
