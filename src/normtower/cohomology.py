@@ -13,10 +13,13 @@ invariant that the brute-force coboundary search validates independently.
 """
 
 from dataclasses import dataclass
+from itertools import chain, product
 from math import gcd
 
 from .errors import InternalCheckError, NotACocycle, SearchSpaceTooLarge
 from .numtheory import whole
+
+MAX_A = 400  # largest a an a x a table is built for
 
 
 @dataclass(frozen=True)
@@ -32,16 +35,18 @@ class Cocycle2:
         whole(self.r, "r", floor=1)
         if len(self.table) != self.a or any(len(row) != self.a for row in self.table):
             raise ValueError("table must be a x a")
-        if any(x % self.r != x for row in self.table for x in row):
+        entries = list(chain.from_iterable(self.table))
+        if list(map(type, entries)).count(int) != len(entries):
+            raise ValueError("entries must be integers")
+        if not 0 <= min(entries) <= max(entries) < self.r:
             raise ValueError("entries must be reduced mod r")
-        if any(self.table[0][j] for j in range(self.a)) or any(
-            self.table[i][0] for i in range(self.a)
-        ):
+        if any(self.table[0]) or any(row[0] for row in self.table):
             raise ValueError("cocycle is not normalized")
 
 
 def zero_cocycle(a, r):
-    return Cocycle2(a, r, tuple((0,) * a for _ in range(a)))
+    """The carrying cocycle with b = 1, which never carries."""
+    return carrying_cocycle(a, 1, r)
 
 
 def carrying_cocycle(a, b, r):
@@ -54,7 +59,8 @@ def carrying_cocycle(a, b, r):
     if a % whole(b, "b", floor=1) != 0:
         raise ValueError("b must be a positive divisor of a")
     whole(r, "r", floor=1)
-    whole(a, "a", floor=1)
+    if whole(a, "a", floor=1) > MAX_A:
+        raise SearchSpaceTooLarge(f"a = {a} > {MAX_A}")
     table = tuple(
         tuple(((i + j) // b - i // b - j // b) % r for j in range(a)) for i in range(a)
     )
@@ -107,7 +113,6 @@ class IsomorphismWitness:
     invariant: int  # h2_invariant shared by phi and psi
 
 
-MAX_A = 400  # largest a the carry-shift isomorphism is built for
 # largest extension order a * r answered; no structure of that size is built,
 # the bound keeps the set of inputs that answer fixed
 MAX_ORDER = 160_000
@@ -195,8 +200,6 @@ def cohomologous_bruteforce(c1, c2):
         tuple((x - y) % r for x, y in zip(row1, row2))
         for row1, row2 in zip(c1.table, c2.table)
     )
-    from itertools import product
-
     for tail in product(range(r), repeat=a - 1):
         f = (0,) + tail
         if all(

@@ -198,9 +198,9 @@ class FiniteFieldTower:
         self.field = FiniteField(l, d * r)
         self._algebras = {}  # b -> ca_mul's tables for (L/E, tau, b), from _algebra
 
-    def tau(self, e, times=1):
+    def tau(self, e):
         f = self.field
-        return f.decode(f.frobenius(f.encode(e), self.d * times))
+        return f.decode(f.frobenius(f.encode(e), self.d))
 
     def is_in_base(self, e):
         return self.tau(e) == e

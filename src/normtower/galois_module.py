@@ -11,6 +11,7 @@ records the free multiplicities y_0..y_n and the optional exceptional m.
 """
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -33,6 +34,13 @@ from .numtheory import MAX_N, is_prime, json_int, shown, whole
 MAX_DIM = 512
 
 
+def _within_max_dim(d):
+    """d, or SearchSpaceTooLarge when it passes MAX_DIM."""
+    if d > MAX_DIM:
+        raise SearchSpaceTooLarge(f"dimension {shown(d, f'of {d.bit_length()} bits')} > {MAX_DIM}")
+    return d
+
+
 class GModule:
     """A matrix sigma in GL_d(F_p) with sigma^(p^n) = 1, n in 1..MAX_N and d at
     most MAX_DIM; a larger d raises SearchSpaceTooLarge before any rank is taken."""
@@ -46,8 +54,7 @@ class GModule:
         whole(n, "n", floor=1, ceiling=MAX_N)
         if sigma.rows != sigma.cols:
             raise ValueError("sigma must be square")
-        if sigma.rows > MAX_DIM:
-            raise SearchSpaceTooLarge(f"dimension {sigma.rows} > {MAX_DIM}")
+        _within_max_dim(sigma.rows)
         self.p = p
         self.n = n
         self.sigma = sigma
@@ -106,10 +113,7 @@ class DecompositionShape:
         if dim < 1:
             raise InvalidShape("shape has total dimension 0")
         # before the primality test, which refuses a p it cannot prove prime
-        if dim > MAX_DIM:
-            raise SearchSpaceTooLarge(
-                f"dimension {shown(dim, f'of {dim.bit_length()} bits')} > {MAX_DIM}"
-            )
+        _within_max_dim(dim)
         if not is_prime(p):
             raise InvalidShape("p must be prime and n >= 1")
 
@@ -238,10 +242,11 @@ def synthesize(shape):
 
 
 def module_from_profile(p, n, sizes):
-    """Block-diagonal module with the given block sizes (any partition, parts <= p^n)."""
+    """Block-diagonal module with the given block sizes (parts <= p^n, sum <= MAX_DIM)."""
     top = p ** whole(n, "n", floor=1, ceiling=MAX_N)
     for s in sizes:
         whole(s, "block size", floor=1, ceiling=top)
+    _within_max_dim(sum(sizes))
     return GModule(p, n, _block_diagonal(p, sorted(sizes, reverse=True)))
 
 
@@ -254,11 +259,12 @@ def conjugate(mod, q):
 
 def random_gmodule(p, n, dim, seed=0):
     """Random block-diagonal module conjugated by a random invertible matrix."""
+    top = p ** whole(n, "n", floor=1, ceiling=MAX_N)
     rng = random.Random(seed)
     parts = []
-    left = dim
+    left = _within_max_dim(whole(dim, "dim"))
     while left:
-        k = rng.randint(1, min(p**n, left))
+        k = rng.randint(1, min(top, left))
         parts.append(k)
         left -= k
     base = module_from_profile(p, n, parts)
@@ -266,15 +272,22 @@ def random_gmodule(p, n, dim, seed=0):
     return conjugate(base, q)
 
 
+# most rank tuples one enumerate_shapes call walks, checked before it; c06 walks at most 66
+MAX_SHAPE_WALK = 10**5
+
+
 def enumerate_shapes(p, n, max_dim):
     """All valid shapes with 1 <= total_dim <= max_dim, deterministic order."""
     whole(n, "n", floor=1, ceiling=MAX_N)
-    exc_options = [None, *(m for m in exceptional_range(p, n) if p**m + 1 <= max_dim)]
+    whole(max_dim, "max_dim", floor=0)
+    bases = {None: 0, **{m: p**m + 1 for m in exceptional_range(p, n) if p**m + 1 <= max_dim}}
+    spans = {exc: [(max_dim - b) // p**i + 1 for i in range(n + 1)] for exc, b in bases.items()}
+    walk = sum(map(math.prod, spans.values()))
+    if walk > MAX_SHAPE_WALK:
+        raise SearchSpaceTooLarge(f"{shown(walk)} rank tuples > {MAX_SHAPE_WALK}")
     shapes = []
-    for exc in exc_options:
-        base = 0 if exc is None else p**exc + 1
-        ceilings = [(max_dim - base) // p**i for i in range(n + 1)]
-        for ranks in itertools.product(*(range(c + 1) for c in ceilings)):
+    for exc, base in bases.items():
+        for ranks in itertools.product(*map(range, spans[exc])):
             total = base + sum(y * p**i for i, y in enumerate(ranks))
             if 1 <= total <= max_dim:
                 shapes.append(DecompositionShape(p, n, ranks, exc))
@@ -394,9 +407,7 @@ def module_from_json(data):
         and all(isinstance(row, list) and len(row) == len(sigma) for row in sigma)
     ):
         raise ValueError("module JSON 'sigma' must be a non-empty square list of rows")
-    d = len(sigma)
-    if d > MAX_DIM:
-        raise SearchSpaceTooLarge(f"dimension {d} > {MAX_DIM}")
+    d = _within_max_dim(len(sigma))
     entries = list(itertools.chain.from_iterable(sigma))
     if list(map(type, entries)).count(int) != len(entries):
         raise ValueError("module JSON 'sigma' entries must be integers")

@@ -335,27 +335,20 @@ def residue_norm_test(p, n, q):
     return (q - 1) // pn % p == 0
 
 
-def index_bound_check(m, ind, p=None):
-    """Whether ind <= p^(m+1), reading p^(-inf + 1) as 1.
-
-    p is inferred from ind when not given; ind = 1 passes for every m.
-    """
+def index_bound_check(m, ind, p):
+    """Whether ind <= p^(m+1), reading p^(-inf + 1) as 1; ind = 1 passes for every m."""
     whole(ind, "index", floor=1)
     if m != NEG_INF:
         whole(m, "m", floor=0)
-    if p is not None:
-        whole(p, "p")
+    whole(p, "p")
     if ind == 1:
         return True
     _, fac = factorize(ind)
-    if len(fac) != 1:
-        raise ValueError(f"index {ind} is not a prime power")
-    (base, k), = fac.items()
-    if p is not None and base != p:
+    if list(fac) != [p]:
         raise ValueError(f"index {ind} is not a power of {p}")
     if m == NEG_INF:
         return False
-    return k <= m + 1
+    return fac[p] <= m + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Elementary number theory helpers: primality, factorization, Legendre
-symbols, how a message shows an int, the int rule and how JSON gives an int."""
+symbols, how a message shows an int, the int and rational rules, JSON ints."""
 
 from fractions import Fraction
 
@@ -73,14 +73,13 @@ def valuation(n, p):
 
 
 def factorize(n):
-    """Factor a nonzero rational into {prime: exponent} plus a sign.
+    """Factor a nonzero int or Fraction into {prime: exponent} plus a sign.
 
     Returns (sign, factors). Denominator primes get negative exponents.
     Raises FactorizationError when a cofactor survives trial division up
     to 10^6 and is composite, or is too large for is_prime to be exact.
     """
-    n = Fraction(n)
-    if n == 0:
+    if rational(n, "n") == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
     factors = {}
@@ -146,6 +145,11 @@ def whole(x, name, floor=None, ceiling=None, error=ValueError):
     if ceiling is not None and x > ceiling:
         raise error(f"{name} must be at most {ceiling}, got {shown(x)}")
     return x
+
+
+def rational(x, name):
+    """The exact-rational rule: x when it is a Fraction or passes whole, else ValueError."""
+    return x if isinstance(x, Fraction) else whole(x, f"{name}, if not a Fraction,")
 
 
 def json_int(data, key, what):

@@ -1,15 +1,15 @@
 """Hilbert symbols over Q, and the 2-adic square root the biquadratic m reads.
 
-Rationals enter symbols exactly, through their numerator and denominator.
+Rationals enter symbols exactly, through their numerator and denominator;
+numtheory.rational refuses anything but an int or a Fraction.
 The one intrinsically 2-adic quantity, the root of a unit u = 1 mod 8, is
 an int carried to the number of digits its caller asks for.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalCheckError
-from .numtheory import factorize, is_prime, legendre
+from .numtheory import factorize, is_prime, legendre, rational, whole
 
 INFINITE_PLACE = "inf"
 
@@ -23,9 +23,9 @@ def hensel_sqrt(u, digits):
     r -> r - (r^2 - u) / (2r) loses one to the halving, so a root mod 2^k
     becomes one mod 2^(2k - 2), and it stays 1 mod 4.
     """
-    if digits < 3:
+    if whole(digits, "digits") < 3:
         raise ValueError(f"a 2-adic root needs at least 3 digits, got {digits}")
-    if u % 8 != 1:
+    if whole(u, "u") % 8 != 1:
         return None
     u %= 2**digits
     r, k = 1, 3
@@ -51,15 +51,8 @@ def _norm_place(place):
     raise ValueError(f"place must be a prime or 'inf', got {place!r}")
 
 
-def _rational(x):
-    """x as an exact rational: ints and Fractions as they are, since both
-    carry numerator and denominator, anything else through Fraction."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
-
-
 def _local_data(x, p, digits):
-    """(valuation, unit mod p^digits) of a nonzero rational x."""
-    x = _rational(x)
+    """(valuation, unit mod p^digits) of a nonzero int or Fraction x."""
     num, den = x.numerator, x.denominator
     if num == 0:
         raise ValueError("Hilbert symbol of zero")
@@ -84,10 +77,10 @@ def _omega2(u):
 
 def hilbert_symbol(a, b, place):
     """The local symbol (a, b) at a finite prime or the real place, for
-    nonzero rationals a and b; ValueError at every place if either is 0."""
+    nonzero ints or Fractions a and b; else ValueError at every place."""
+    a, b = rational(a, "a"), rational(b, "b")
     place = _norm_place(place)
     if place == INFINITE_PLACE:
-        a, b = _rational(a), _rational(b)
         if not a or not b:
             raise ValueError("Hilbert symbol of zero")
         return -1 if a < 0 and b < 0 else 1
@@ -130,7 +123,7 @@ def quaternion_splits_Q(a, b):
     so the product over the listed places is the full product formula;
     it must equal +1, and a violation means a bug, not a verdict.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = rational(a, "a"), rational(b, "b")
     if a == 0 or b == 0:
         raise ValueError("quaternion parameters must be nonzero")
     primes = set()

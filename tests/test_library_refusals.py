@@ -4,30 +4,54 @@ and within a second, so that a call that never returns fails the test
 instead of stalling the suite."""
 
 import signal
+import tracemalloc
+from decimal import Decimal
 
 import pytest
 
-from normtower.cohomology import carrying_cocycle, extension_isomorphism
-from normtower.cyclic_algebra import FiniteField, FiniteFieldTower, index_ladder
-from normtower.errors import NormTowerError
-from normtower.fp_linalg import FpMatrix
+from normtower.cohomology import (
+    Cocycle2,
+    carrying_cocycle,
+    cohomologous_bruteforce,
+    extension_isomorphism,
+    zero_cocycle,
+)
+from normtower.cyclic_algebra import (
+    FiniteField,
+    FiniteFieldTower,
+    algebra_element,
+    ca_add,
+    index_ladder,
+)
+from normtower.errors import (
+    NormTowerError,
+    NotInvertible,
+    NotRealizable,
+    SearchSpaceTooLarge,
+)
+from normtower.fp_linalg import FpMatrix, inverse, mat_mul
 from normtower.galois_module import (
     DecompositionShape,
+    GModule,
+    bruteforce_block_sizes,
     classify_profile,
     enumerate_shapes,
     module_from_profile,
+    random_gmodule,
 )
 from normtower.m_invariant import (
     BrauerRowenSpec,
     FunctionFieldSpec,
     LocalKummerSpec,
     compute_m,
+    explain_m,
     find_dirichlet_prime,
     index_bound_check,
     residue_norm_test,
 )
-from normtower.numtheory import legendre, valuation
-from normtower.roots import RootOfUnityContent
+from normtower.numtheory import factorize, legendre, valuation
+from normtower.padic import hensel_sqrt, hilbert_symbol, quaternion_splits_Q
+from normtower.roots import RootOfUnityContent, m_from_root_content
 from normtower.ufd_norm import proposition_check
 
 ROWS = {
@@ -70,6 +94,30 @@ ROWS = {
     "proposition_check bool n": lambda: proposition_check(3, True, 1),
     "residue_norm_test float q": lambda: residue_norm_test(3, 1, 13.0),
     "valuation float n": lambda: valuation(8.0, 2),
+    # an exact rational is an int or a Fraction: no float, Decimal, str or bool
+    "hilbert_symbol float a": lambda: hilbert_symbol(0.1, 3, 5),
+    "hilbert_symbol Decimal a": lambda: hilbert_symbol(Decimal("0.1"), 3, 5),
+    "hilbert_symbol str a": lambda: hilbert_symbol("1/10", 3, 5),
+    "hilbert_symbol bool a": lambda: hilbert_symbol(True, 3, 5),
+    "quaternion_splits_Q float a": lambda: quaternion_splits_Q(0.1, 5),
+    "quaternion_splits_Q bool a": lambda: quaternion_splits_Q(True, -1),
+    "factorize float": lambda: factorize(0.1),
+    "factorize str": lambda: factorize("1/10"),
+    "factorize Decimal": lambda: factorize(Decimal("0.3")),
+    "factorize bool": lambda: factorize(True),
+    "hensel_sqrt float digits": lambda: hensel_sqrt(17, 10.0),
+    "hensel_sqrt float u": lambda: hensel_sqrt(17.0, 10),
+    "hensel_sqrt bool u": lambda: hensel_sqrt(True, 10),
+    # bounded before any work that grows with the input
+    "random_gmodule huge n": lambda: random_gmodule(3, 10**7, 2),
+    "random_gmodule huge dim": lambda: random_gmodule(2, 1, 10**9),
+    "module_from_profile 1500 blocks": lambda: module_from_profile(2, 1, [1] * 1500),
+    "enumerate_shapes (2, 6, 256)": lambda: enumerate_shapes(2, 6, 256),
+    "enumerate_shapes (2, 8, 512)": lambda: enumerate_shapes(2, 8, 512),
+    "carrying_cocycle a = 1500": lambda: carrying_cocycle(1500, 1, 2),
+    "zero_cocycle a = 1500": lambda: zero_cocycle(1500, 2),
+    "cocycle float entry": lambda: Cocycle2(2, 4, ((0, 0), (0, 2.0))),
+    "cocycle bool entry": lambda: Cocycle2(2, 4, ((0, 0), (0, True))),
 }
 
 
@@ -91,3 +139,106 @@ def test_library_refuses_within_a_second(call):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_module_from_profile_refuses_before_building_the_matrix():
+    sizes = [1] * 1500
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceTooLarge, match="^dimension 1500 > 512$"):
+            module_from_profile(2, 1, sizes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _two_algebras():
+    tower = FiniteFieldTower(3, 1, 2)
+    return algebra_element(tower, 1, [0, 1]), algebra_element(tower, 2, [0, 1])
+
+
+# each reaches a raise that no other test reaches, and names it by its message
+UNREACHED = {
+    "cocycle table not a x a": (lambda: Cocycle2(2, 3, ((0, 0),)), ValueError, "table must be a x a"),
+    "bruteforce different groups": (
+        lambda: cohomologous_bruteforce(zero_cocycle(2, 3), zero_cocycle(3, 3)),
+        ValueError,
+        "cocycles live on different groups",
+    ),
+    "bruteforce too many cochains": (
+        lambda: cohomologous_bruteforce(zero_cocycle(8, 8), zero_cocycle(8, 8)),
+        SearchSpaceTooLarge,
+        "8\\^7 cochains exceed limit",
+    ),
+    "ragged rows": (lambda: FpMatrix.from_rows(3, [[1, 0], [1]]), ValueError, "ragged rows"),
+    "mat_mul moduli": (
+        lambda: mat_mul(FpMatrix(3, 1, 1, [1]), FpMatrix(5, 1, 1, [1])),
+        ValueError,
+        "moduli differ",
+    ),
+    "mat_mul inner dimensions": (
+        lambda: mat_mul(FpMatrix(3, 1, 2, [1, 0]), FpMatrix(3, 1, 2, [1, 0])),
+        ValueError,
+        "inner dimensions differ",
+    ),
+    "inverse of 1 x 2": (
+        lambda: inverse(FpMatrix(3, 1, 2, [1, 0])),
+        NotInvertible,
+        "non-square matrix",
+    ),
+    "gmodule modulus": (
+        lambda: GModule(5, 1, FpMatrix(3, 1, 1, [1])),
+        ValueError,
+        "sigma modulus differs from p",
+    ),
+    "gmodule not square": (
+        lambda: GModule(3, 1, FpMatrix(3, 1, 2, [1, 0])),
+        ValueError,
+        "sigma must be square",
+    ),
+    "classify block past p^n": (
+        lambda: classify_profile((9,), 2, 3),
+        NotRealizable,
+        "block size 9 exceeds p\\^n = 8",
+    ),
+    "oracle too many vectors": (
+        lambda: bruteforce_block_sizes(module_from_profile(7, 1, [6])),
+        SearchSpaceTooLarge,
+        "p\\^dim = 117649 vectors is too many",
+    ),
+    "explain_m unknown spec": (lambda: explain_m(object()), ValueError, "unknown tower spec"),
+    "valuation of 0": (lambda: valuation(0, 3), ValueError, "valuation of 0 is undefined"),
+    "factorize 0": (lambda: factorize(0), ValueError, "cannot factor 0"),
+    "conductor 2 mod 4": (
+        lambda: RootOfUnityContent("cyclotomic", 6),
+        ValueError,
+        "conductor must be odd or divisible by 4",
+    ),
+    "unknown root content kind": (
+        lambda: RootOfUnityContent("p-adic", 3),
+        ValueError,
+        "unknown kind 'p-adic'",
+    ),
+    "m_from_root_content p = 4": (
+        lambda: m_from_root_content(RootOfUnityContent.cyclotomic(8), 4, 1),
+        ValueError,
+        "4 is not prime",
+    ),
+    "field inverse of 0": (
+        lambda: FiniteField(3, 2).inv(0),
+        ZeroDivisionError,
+        "inverse of 0 in a finite field",
+    ),
+    "ca_add different b": (
+        lambda: ca_add(*_two_algebras()),
+        ValueError,
+        "elements live in different algebras",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", UNREACHED.values(), ids=UNREACHED.keys())
+def test_library_refusal_reaches_its_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

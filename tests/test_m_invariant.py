@@ -229,20 +229,20 @@ def test_biquadratic_past_the_printable_digits():
 
 
 def test_index_bound_check():
-    assert index_bound_check(NEG_INF, 1) is True
-    assert index_bound_check(NEG_INF, 2) is False
-    assert index_bound_check(0, 2) is True
-    assert index_bound_check(0, 4) is False
-    assert index_bound_check(2, 8) is True
-    assert index_bound_check(2, 16) is False
-    assert index_bound_check(3, 1) is True
-    assert index_bound_check(1, 9, p=3) is True
+    assert index_bound_check(NEG_INF, 1, 2) is True
+    assert index_bound_check(NEG_INF, 2, 2) is False
+    assert index_bound_check(0, 2, 2) is True
+    assert index_bound_check(0, 4, 2) is False
+    assert index_bound_check(2, 8, 2) is True
+    assert index_bound_check(2, 16, 2) is False
+    assert index_bound_check(3, 1, 2) is True
+    assert index_bound_check(1, 9, 3) is True
+    with pytest.raises(ValueError, match="^index 6 is not a power of 2$"):
+        index_bound_check(1, 6, 2)
+    with pytest.raises(ValueError, match="^index 9 is not a power of 2$"):
+        index_bound_check(1, 9, 2)
     with pytest.raises(ValueError):
-        index_bound_check(1, 6)
-    with pytest.raises(ValueError):
-        index_bound_check(1, 9, p=2)
-    with pytest.raises(ValueError):
-        index_bound_check(-2, 4)
+        index_bound_check(-2, 4, 2)
 
 
 def test_cross_check_consistent_cases():

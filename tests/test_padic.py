@@ -257,5 +257,3 @@ def test_local_data_agrees_with_fraction_route():
         for zero in (0, Fraction(0)):
             with pytest.raises(ValueError, match="Hilbert symbol of zero"):
                 padic._local_data(zero, p, 1)
-    # anything else still goes through Fraction
-    assert padic._local_data("-12/5", 2, 3) == local_data_fraction("-12/5", 2, 3) == (2, 1)
