@@ -1,11 +1,11 @@
 """F_p matrix kernels in pure Python, on flat row-major lists of ints in
-[0, p) for any prime p. Each row or vector is packed into one big int, one
-field per coordinate (see `packing`), so a sum of scaled vectors is a few
-big-int operations in C rather than a Python loop over entries. Row
-reduction and the rank sequence share one echelon routine, `_echelon`.
-Once a dense step of the rank sequence has halved the rank, the rest of
-the sequence runs on the operator restricted to its image, in vectors
-of that image's dimension (see nilpotent_rank_sequence).
+[0, p) for any prime p, or bytes-like ones for p <= 256. Each row or vector
+is packed into one big int, one field per coordinate (see `packing`), so a
+sum of scaled vectors is a few big-int operations in C rather than a Python
+loop over entries. Row reduction and the rank sequence share one echelon
+routine, `_echelon`. Once a dense step of the rank sequence has halved the
+rank, the rest of the sequence runs on the operator restricted to its
+image, in vectors of that image's dimension (see nilpotent_rank_sequence).
 """
 
 from itertools import chain

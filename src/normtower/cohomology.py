@@ -135,14 +135,15 @@ def shift_defect(phi, psi, shift):
 def extension_isomorphism(a, b, r):
     """Identify the scaled full-wrap extension with the block-carry extension.
 
-    With q = a/b, the cocycles phi = scale(carrying(a,a,r), q) and psi =
-    carrying(a,b,r) define isomorphic extensions via (m, i) -> (m + shift[i],
-    i), shift[i] = floor(i/b). Both tables are checked to be cocycles. The
-    map translates the fibre over each i, so it is bijective and fixes the
-    quotient Z/a by its form, fixes the central Z/r = {(m, 0)} as shift[0] =
-    floor(0/b) = 0, and is multiplicative iff shift_defect finds nothing.
-    The two classes must then share their invariant. Above MAX_A or
-    MAX_ORDER this raises SearchSpaceTooLarge before any table is built.
+    With q = a/b, the cocycles phi(i, j) = q [i + j >= a], the full wrap
+    carrying(a,a,r) scaled by q, and psi = carrying(a,b,r) define isomorphic
+    extensions via (m, i) -> (m + shift[i], i), shift[i] = floor(i/b). Both
+    tables are checked to be cocycles. The map translates the fibre over
+    each i, so it is bijective and fixes the quotient Z/a by its form, fixes
+    the central Z/r = {(m, 0)} as shift[0] = floor(0/b) = 0, and is
+    multiplicative iff shift_defect finds nothing. The two classes must then
+    share their invariant. Above MAX_A or MAX_ORDER this raises
+    SearchSpaceTooLarge before any table is built.
     """
     if a % whole(b, "b", floor=1) != 0:
         raise ValueError("b must be a positive divisor of a")
@@ -152,7 +153,8 @@ def extension_isomorphism(a, b, r):
         raise SearchSpaceTooLarge(f"group order a * r = {a} * {r} > {MAX_ORDER}")
     q = a // b
     psi = carrying_cocycle(a, b, r)
-    phi = scale_cocycle(carrying_cocycle(a, a, r), q)
+    # q times the full wrap [i + j >= a]: row i is q from column a - i on
+    phi = Cocycle2(a, r, tuple((0,) * (a - i) + (q % r,) * i for i in range(a)))
     inv_phi, inv_psi = h2_invariant(phi), h2_invariant(psi)
     shift = [i // b % r for i in range(a)]
     defect = shift_defect(phi, psi, shift)

@@ -9,6 +9,11 @@ Three tiers, mirroring the CLI exit codes:
 """
 
 
+class NonIntegerEntries(ValueError):
+    """A matrix entry that is not an int (a bool is not one): bad input, exit 1.
+    A reader of a file catches it to name the field the entries came from."""
+
+
 class NormTowerError(Exception):
     """Base class for all domain-level failures."""
 

@@ -1,11 +1,14 @@
 """Dense exact linear algebra over prime fields F_p.
 
-Matrices are immutable-by-convention wrappers around a flat row-major list;
-the heavy loops live in _kernels.
+Matrices are immutable-by-convention wrappers around a flat row-major list
+of ints in [0, p); the heavy loops live in _kernels. A matrix refuses any
+entry that is not an int (a bool included) in one pass over their types and
+reduces them mod p here: in C, through bytes, when p <= 256 and they are
+already residues, else by `x % p`.
 """
 
 from . import _kernels
-from .errors import NotInvertible
+from .errors import NonIntegerEntries, NotInvertible
 from .numtheory import is_prime, whole
 
 
@@ -13,6 +16,8 @@ class FpMatrix:
     __slots__ = ("p", "rows", "cols", "entries")
 
     def __init__(self, p, rows, cols, entries):
+        if list(map(type, entries)).count(int) != len(entries):
+            raise NonIntegerEntries("matrix entries must be integers")
         if not is_prime(whole(p, "modulus")):
             raise ValueError(f"modulus {p} is not prime")
         whole(rows, "rows", floor=1)
@@ -22,7 +27,7 @@ class FpMatrix:
         self.p = p
         self.rows = rows
         self.cols = cols
-        self.entries = [x % p for x in entries]
+        self.entries = _residues(entries, p)
 
     @classmethod
     def from_rows(cls, p, row_list):
@@ -49,6 +54,18 @@ class FpMatrix:
 
     def __repr__(self):
         return f"FpMatrix(p={self.p}, {self.rows}x{self.cols})"
+
+
+def _residues(entries, p):
+    """The ints `entries` as a new list of residues mod p."""
+    if p <= 256:
+        try:
+            raw = bytearray(entries)  # ValueError: an entry outside 0..255
+            if not raw.translate(None, bytes(range(p))):  # every entry is below p
+                return list(raw)
+        except ValueError:
+            pass
+    return [x % p for x in entries]
 
 
 def mat_mul(a, b):

@@ -19,6 +19,7 @@ from . import _kernels, fp_linalg
 from .errors import (
     InternalCheckError,
     InvalidShape,
+    NonIntegerEntries,
     NotRealizable,
     OrderViolation,
     SearchSpaceTooLarge,
@@ -76,10 +77,12 @@ class GModule:
 
 
 def _nilpotent_part(sigma):
-    """The flat entries of N = sigma - 1, each in [0, p) like sigma's."""
-    d, nil = sigma.rows, list(sigma.entries)
-    for i in range(0, d * d, d + 1):
-        nil[i] = (nil[i] - 1) % sigma.p
+    """The flat entries of N = sigma - 1, each in [0, p) like sigma's: a
+    bytearray for p <= 256, which the kernels' to_fields copies rather than
+    converts, else a list. The diagonal is set by one slice assignment."""
+    d, p = sigma.rows, sigma.p
+    nil = bytearray(sigma.entries) if p <= 256 else list(sigma.entries)
+    nil[:: d + 1] = [(x - 1) % p for x in nil[:: d + 1]]
     return nil
 
 
@@ -259,7 +262,7 @@ def conjugate(mod, q):
 
 def random_gmodule(p, n, dim, seed=0):
     """Random block-diagonal module conjugated by a random invertible matrix."""
-    top = p ** whole(n, "n", floor=1, ceiling=MAX_N)
+    top = whole(p, "p", floor=2) ** whole(n, "n", floor=1, ceiling=MAX_N)
     rng = random.Random(seed)
     parts = []
     left = _within_max_dim(whole(dim, "dim"))
@@ -278,6 +281,7 @@ MAX_SHAPE_WALK = 10**5
 
 def enumerate_shapes(p, n, max_dim):
     """All valid shapes with 1 <= total_dim <= max_dim, deterministic order."""
+    whole(p, "p", floor=2)
     whole(n, "n", floor=1, ceiling=MAX_N)
     whole(max_dim, "max_dim", floor=0)
     bases = {None: 0, **{m: p**m + 1 for m in exceptional_range(p, n) if p**m + 1 <= max_dim}}
@@ -408,7 +412,8 @@ def module_from_json(data):
     ):
         raise ValueError("module JSON 'sigma' must be a non-empty square list of rows")
     d = _within_max_dim(len(sigma))
-    entries = list(itertools.chain.from_iterable(sigma))
-    if list(map(type, entries)).count(int) != len(entries):
-        raise ValueError("module JSON 'sigma' entries must be integers")
-    return GModule(p, n, FpMatrix(p, d, d, entries))
+    try:
+        sigma = FpMatrix(p, d, d, list(itertools.chain.from_iterable(sigma)))
+    except NonIntegerEntries:
+        raise ValueError("module JSON 'sigma' entries must be integers") from None
+    return GModule(p, n, sigma)

@@ -340,7 +340,8 @@ def index_bound_check(m, ind, p):
     whole(ind, "index", floor=1)
     if m != NEG_INF:
         whole(m, "m", floor=0)
-    whole(p, "p")
+    if not is_prime(whole(p, "p")):
+        raise ValueError(f"{p} is not prime")
     if ind == 1:
         return True
     _, fac = factorize(ind)

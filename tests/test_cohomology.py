@@ -111,6 +111,19 @@ def test_extension_isomorphism_builds_nothing_of_size_a_r():
     assert peak < 16 * 2**20
 
 
+def test_extension_isomorphism_phi_is_the_scaled_wrap(monkeypatch):
+    for a in range(1, 13):
+        for b in (x for x in range(1, a + 1) if a % x == 0):
+            for r in range(1, 7):
+                w = extension_isomorphism(a, b, r)
+                assert w.phi == scale_cocycle(carrying_cocycle(a, a, r), a // b)
+    built = []
+    original = Cocycle2.__post_init__
+    monkeypatch.setattr(Cocycle2, "__post_init__", lambda c: built.append(c) or original(c))
+    extension_isomorphism(12, 3, 5)
+    assert len(built) == 2  # phi and psi, nothing thrown away
+
+
 def test_isomorphic_pairs_attach_same_group():
     # q = 1: scaled cocycle equals the plain wrap; extension is cyclic
     w = extension_isomorphism(4, 4, 2)

@@ -47,6 +47,33 @@ def test_matrix_construction_validates():
     assert m.to_rows() == [[1, 2], [0, 2]]
 
 
+RESIDUE_CASES = {
+    "reduced": lambda p: [0, 1, p - 1, 1, 0, p - 1],
+    "negative": lambda p: [-1, -p, 0, -2 * p - 3, 1, -255],
+    "at or past p": lambda p: [p, p + 1, 2 * p - 1, 0, 3 * p, 1],
+    "255 and 256": lambda p: [255, 256, 0, 1, 255, 256],
+    "large": lambda p: [2**64, 2**61 - 1, 10**30 + 7, -(2**70), 0, 1],
+}
+
+
+@pytest.mark.parametrize("make", RESIDUE_CASES.values(), ids=RESIDUE_CASES.keys())
+@pytest.mark.parametrize("p", [2, 3, 251, 257, 2**61 - 1])
+def test_entries_are_the_residues_of_the_input(p, make):
+    entries = make(p)
+    assert FpMatrix(p, 2, 3, entries).entries == [x % p for x in entries]
+    assert FpMatrix(p, 2, 3, tuple(entries)).entries == [x % p for x in entries]
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_rank_sequence_reads_bytes_as_the_list(p):
+    # J_3 + J_2 with a nonzero p - 1 above the blocks, in bytes and in a list
+    rows = [[0, 1, 0, p - 1, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0] * 5]
+    flat = [x for row in rows for x in row]
+    ranks = _kernels.nilpotent_rank_sequence(flat, 5, p)
+    assert ranks == [5, 3, 1, 0]
+    assert _kernels.nilpotent_rank_sequence(bytearray(flat), 5, p) == ranks
+
+
 def test_identity_multiplication():
     rng = random.Random(0)
     m = FpMatrix(5, 3, 3, [rng.randrange(5) for _ in range(9)])

@@ -3,6 +3,7 @@ library caller can make: each must raise ValueError or a NormTowerError,
 and within a second, so that a call that never returns fails the test
 instead of stalling the suite."""
 
+import contextlib
 import signal
 import tracemalloc
 from decimal import Decimal
@@ -121,6 +122,29 @@ ROWS = {
 }
 
 
+# refused by name, not by whatever a later step trips over
+NAMED = {
+    "matrix float entry": (lambda: FpMatrix(2, 1, 1, [0.5]), "^matrix entries must be integers$"),
+    "matrix str entry": (lambda: FpMatrix(2, 1, 1, ["1"]), "^matrix entries must be integers$"),
+    "matrix bool entry": (lambda: FpMatrix(2, 1, 2, [1, True]), "^matrix entries must be integers$"),
+    "matrix float entry p > 256": (
+        lambda: FpMatrix(257, 1, 1, [1.0]),
+        "^matrix entries must be integers$",
+    ),
+    "gmodule float entry": (
+        lambda: GModule(2, 1, FpMatrix(2, 1, 1, [1.0])),
+        "^matrix entries must be integers$",
+    ),
+    "index_bound_check p = 4": (lambda: index_bound_check(1, 4, 4), "^4 is not prime$"),
+    "index_bound_check p = 9": (lambda: index_bound_check(1, 9, 9), "^9 is not prime$"),
+    "index_bound_check p = 4, ind = 1": (lambda: index_bound_check(1, 1, 4), "^4 is not prime$"),
+    "enumerate_shapes p = 0": (lambda: enumerate_shapes(0, 1, 5), "^p must be >= 2$"),
+    "enumerate_shapes p = 1": (lambda: enumerate_shapes(1, 1, 5), "^p must be >= 2$"),
+    "random_gmodule p = 0": (lambda: random_gmodule(0, 1, 3), "^p must be >= 2$"),
+    "random_gmodule p = -3": (lambda: random_gmodule(-3, 1, 3), "^p must be >= 2$"),
+}
+
+
 class Hung(Exception):
     pass
 
@@ -129,16 +153,27 @@ def _hung(signum, frame):
     raise Hung("no answer within 1 s")
 
 
-@pytest.mark.parametrize("call", ROWS.values(), ids=ROWS.keys())
-def test_library_refuses_within_a_second(call):
+@contextlib.contextmanager
+def _within_a_second():
     previous = signal.signal(signal.SIGALRM, _hung)
     signal.alarm(1)
     try:
-        with pytest.raises((ValueError, NormTowerError)):
-            call()
+        yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("call", ROWS.values(), ids=ROWS.keys())
+def test_library_refuses_within_a_second(call):
+    with _within_a_second(), pytest.raises((ValueError, NormTowerError)):
+        call()
+
+
+@pytest.mark.parametrize("call, message", NAMED.values(), ids=NAMED.keys())
+def test_library_refuses_by_name_within_a_second(call, message):
+    with _within_a_second(), pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_module_from_profile_refuses_before_building_the_matrix():
