@@ -72,10 +72,7 @@ def _cmd_decompose(args):
         [
             f"module over F_{mod.p}[C_{mod.p}^{mod.n}], dimension {mod.sigma.rows}",
             f"block sizes: {' '.join(map(str, profile))}",
-            "free ranks:  "
-            + " ".join(
-                f"y{i}={y}" for i, y in enumerate(shape.free_ranks)
-            ),
+            "free ranks:  " + " ".join(f"y{i}={y}" for i, y in enumerate(shape.free_ranks)),
             f"exceptional: {shape.exceptional if shape.exceptional is not None else 'none'}",
             f"m = {format_m(m)}",
         ],
@@ -189,8 +186,6 @@ def _cmd_cocycle_check(args):
 
     a, b, r = args.a, args.b, args.r
     witness = cohomology.extension_isomorphism(a, b, r)
-    table = witness.psi.table
-    abelian = table == tuple(zip(*table))
     payload = {
         "a": a,
         "b": b,
@@ -200,16 +195,15 @@ def _cmd_cocycle_check(args):
         "cocycle_scaled": True,
         "invariant": witness.invariant,
         "isomorphic": True,
-        "group_abelian": abelian,
+        # psi(i, j) = [i mod b + j mod b >= b] = psi(j, i): the extension is abelian
+        "group_abelian": True,
         "group_order": a * r,
     }
     lines = [
         f"block-carry cocycle (a={a}, b={b}, r={r}): valid",
         f"scaled full-wrap cocycle (q={witness.q}): valid",
         f"shared class invariant mod gcd(a, r): {witness.invariant}",
-        f"extensions isomorphic via (m, i) -> (m + i/b, i): yes "
-        f"(order {a * r}, "
-        f"{'abelian' if abelian else 'nonabelian'})",
+        f"extensions isomorphic via (m, i) -> (m + i/b, i): yes (order {a * r}, abelian)",
     ]
     _emit(args, payload, lines)
     return 0

@@ -17,7 +17,7 @@ from itertools import chain, product
 from math import gcd
 
 from .errors import InternalCheckError, NotACocycle, SearchSpaceTooLarge
-from .numtheory import whole
+from .numtheory import shown, whole
 
 MAX_A = 400  # largest a an a x a table is built for
 
@@ -60,7 +60,7 @@ def carrying_cocycle(a, b, r):
         raise ValueError("b must be a positive divisor of a")
     whole(r, "r", floor=1)
     if whole(a, "a", floor=1) > MAX_A:
-        raise SearchSpaceTooLarge(f"a = {a} > {MAX_A}")
+        raise SearchSpaceTooLarge(f"a = {shown(a)} > {MAX_A}")
     table = tuple(
         tuple(((i + j) // b - i // b - j // b) % r for j in range(a)) for i in range(a)
     )
@@ -69,6 +69,7 @@ def carrying_cocycle(a, b, r):
 
 def scale_cocycle(c, q):
     """Multiply every value by q in Z/r (the q-th power on cohomology)."""
+    whole(q, "q")
     table = tuple(tuple(x * q % c.r for x in row) for row in c.table)
     return Cocycle2(c.a, c.r, table)
 
@@ -148,9 +149,9 @@ def extension_isomorphism(a, b, r):
     if a % whole(b, "b", floor=1) != 0:
         raise ValueError("b must be a positive divisor of a")
     if a > MAX_A:
-        raise SearchSpaceTooLarge(f"a = {a} > {MAX_A}")
+        raise SearchSpaceTooLarge(f"a = {shown(a)} > {MAX_A}")
     if a * whole(r, "r", floor=1) > MAX_ORDER:
-        raise SearchSpaceTooLarge(f"group order a * r = {a} * {r} > {MAX_ORDER}")
+        raise SearchSpaceTooLarge(f"group order a * r = {a} * {shown(r)} > {MAX_ORDER}")
     q = a // b
     psi = carrying_cocycle(a, b, r)
     # q times the full wrap [i + j >= a]: row i is q from column a - i on
@@ -197,7 +198,7 @@ def cohomologous_bruteforce(c1, c2):
         raise ValueError("cocycles live on different groups")
     a, r = c1.a, c1.r
     if r ** (a - 1) > MAX_COCHAINS:
-        raise SearchSpaceTooLarge(f"{r}^{a - 1} cochains exceed limit {MAX_COCHAINS}")
+        raise SearchSpaceTooLarge(f"{shown(r)}^{a - 1} cochains exceed limit {MAX_COCHAINS}")
     diff = tuple(
         tuple((x - y) % r for x, y in zip(row1, row2))
         for row1, row2 in zip(c1.table, c2.table)

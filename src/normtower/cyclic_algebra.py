@@ -18,7 +18,7 @@ from operator import mul
 
 from . import _kernels, packing
 from .errors import InternalCheckError, SearchSpaceTooLarge
-from .numtheory import MAX_N, is_prime, whole
+from .numtheory import MAX_N, is_prime, shown, whole
 
 # ---------------------------------------------------------------------------
 # finite fields F_{l^k}, elements packed one field per coefficient
@@ -145,12 +145,12 @@ class FiniteField(_Quotient):
 
     def __init__(self, l, k):
         if not is_prime(whole(l, "l")):
-            raise ValueError(f"{l} is not prime")
+            raise ValueError(f"{shown(l)} is not prime")
         whole(k, "degree", floor=1)
         # before the modulus search; l^k >= 2^(k (bitlen(l) - 1)) and 2^17 >
         # MAX_FIELD_ORDER, so a huge k is refused without forming l^k
         if k * (l.bit_length() - 1) > 16 or l**k > MAX_FIELD_ORDER:
-            raise SearchSpaceTooLarge(f"|L| = {l}^{k} > {MAX_FIELD_ORDER}")
+            raise SearchSpaceTooLarge(f"|L| = {l}^{shown(k)} > {MAX_FIELD_ORDER}")
         super().__init__(l, find_irreducible(l, k) if k > 1 else (0, 1))
         self.order = l**k
         # t in 0..k-1 -> packed images of 1, x, ..., x^(k-1) under Frobenius^t
@@ -259,7 +259,7 @@ def _check_same_algebra(x, y):
 
 def algebra_element(tower, b, coeffs):
     """The element with coefficient encodings coeffs, each read mod l^(rd)."""
-    tower._algebra(b)  # raises ValueError unless b is a unit of E
+    tower._algebra(whole(b, "b"))  # raises ValueError unless b is a unit of E
     coeffs = tuple(coeffs)
     if len(coeffs) != tower.r:
         raise ValueError(f"need exactly {tower.r} coefficients")
@@ -305,7 +305,7 @@ def ca_mul(x, y):
 def solve_norm(tower, b):
     """First w in encoding order with N_{L/E}(w) = b (norms are onto E^x);
     FiniteField bounds the scan by MAX_FIELD_ORDER."""
-    tower._algebra(b)  # raises ValueError unless b is a unit of E
+    tower._algebra(whole(b, "b"))  # raises ValueError unless b is a unit of E
     for w in range(1, tower.field.order):
         if tower.norm(w) == b:
             return w
@@ -372,7 +372,7 @@ def index_ladder(p, n):
     of dim_F C: identities of powers of p, which verify-paper's c08 re-derives.
     """
     if not is_prime(whole(p, "p")):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{shown(p)} is not prime")
     whole(n, "n", floor=1, ceiling=MAX_N)
     rows = []
     for i in range(1, n + 1):

@@ -9,17 +9,19 @@ already residues, else by `x % p`.
 
 from . import _kernels
 from .errors import NonIntegerEntries, NotInvertible
-from .numtheory import is_prime, whole
+from .numtheory import is_prime, shown, whole
 
 
 class FpMatrix:
     __slots__ = ("p", "rows", "cols", "entries")
 
     def __init__(self, p, rows, cols, entries):
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError("matrix entries must be a list or tuple")
         if list(map(type, entries)).count(int) != len(entries):
             raise NonIntegerEntries("matrix entries must be integers")
         if not is_prime(whole(p, "modulus")):
-            raise ValueError(f"modulus {p} is not prime")
+            raise ValueError(f"modulus {shown(p)} is not prime")
         whole(rows, "rows", floor=1)
         whole(cols, "cols", floor=1)
         if len(entries) != rows * cols:
@@ -31,11 +33,13 @@ class FpMatrix:
 
     @classmethod
     def from_rows(cls, p, row_list):
-        rows = len(row_list)
-        cols = len(row_list[0])
-        if any(len(r) != cols for r in row_list):
+        rows = row_list if isinstance(row_list, (list, tuple)) else ()
+        if not rows or not all(isinstance(r, (list, tuple)) for r in rows):
+            raise ValueError("rows must be a nonempty list or tuple of lists or tuples")
+        cols = len(rows[0])
+        if any(len(r) != cols for r in rows):
             raise ValueError("ragged rows")
-        return cls(p, rows, cols, [x for row in row_list for x in row])
+        return cls(p, len(rows), cols, [x for row in rows for x in row])
 
     def row(self, i):
         return self.entries[i * self.cols : (i + 1) * self.cols]
@@ -103,6 +107,7 @@ def inverse(a):
 
 def random_invertible(p, n, rng):
     """Uniform-entry sampling with rejection; deterministic under a seeded rng."""
+    p, n = whole(p, "modulus"), whole(n, "n")
     while True:
         m = FpMatrix(p, n, n, [rng.randrange(p) for _ in range(n * n)])
         if rank(m) == n:

@@ -26,12 +26,12 @@ from .errors import (
 )
 from .fp_linalg import FpMatrix
 from .mvalue import UNDETERMINED
-from .numtheory import MAX_N, is_prime, json_int, shown, whole
+from .numtheory import MAX_N, is_prime, json_int, power_exponent, shown, whole
 
 
 # largest module dimension, and so largest shape, module file and synthesize
-# output; c06 and the tests build at most 90, and the rank sequence of one
-# Jordan block takes 0.3-0.7 s at 512 (2-CPU VM, Python 3.11)
+# output; c06 and the tests build at most 90. At 512 over F_2 one Jordan block
+# takes 0.3-0.6 s, a dense conjugate of it 58 s (README; ROADMAP item 2)
 MAX_DIM = 512
 
 
@@ -50,7 +50,7 @@ class GModule:
 
     def __init__(self, p, n, sigma):
         # FpMatrix has proved sigma.p prime
-        if sigma.p != p:
+        if sigma.p != whole(p, "p"):
             raise ValueError("sigma modulus differs from p")
         whole(n, "n", floor=1, ceiling=MAX_N)
         if sigma.rows != sigma.cols:
@@ -144,16 +144,7 @@ def exceptional_range(p, n):
     """The m < n with an exceptional summand of dimension p^m + 1. That
     dimension is a power of p, so a free block, only at p = 2, m = 0: for
     m >= 1 it is 1 mod p."""
-    return range(1 if p == 2 else 0, n)
-
-
-def _power_exponent(value, p):
-    """i with value == p^i, else None."""
-    i = 0
-    while value > 1 and value % p == 0:
-        value //= p
-        i += 1
-    return i if value == 1 else None
+    return range(1 if whole(p, "p") == 2 else 0, whole(n, "n"))
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +178,19 @@ def classify_profile(profile, p, n):
     p = 2. A non-power size must equal p^m + 1 for a single m < n, at most
     once; anything else is not realizable in this module category.
     """
+    if not is_prime(whole(p, "p")):
+        raise InvalidShape("p must be prime and n >= 1")
     whole(n, "n", floor=1, ceiling=MAX_N)
     free = [0] * (n + 1)
     exceptional = None
     for size in profile:
         if size > p**n:
-            raise NotRealizable(f"block size {size} exceeds p^n = {p ** n}")
-        i = _power_exponent(size, p)
+            raise NotRealizable(f"block size {shown(size)} exceeds p^n = {p ** n}")
+        i = power_exponent(size, p)
         if i is not None:
             free[i] += 1
             continue
-        m = _power_exponent(size - 1, p)
+        m = power_exponent(size - 1, p)
         if m not in exceptional_range(p, n):
             raise NotRealizable(f"block size {size} is neither p^i nor p^m + 1, m < n")
         if exceptional is not None:
@@ -263,7 +256,7 @@ def conjugate(mod, q):
 def random_gmodule(p, n, dim, seed=0):
     """Random block-diagonal module conjugated by a random invertible matrix."""
     top = whole(p, "p", floor=2) ** whole(n, "n", floor=1, ceiling=MAX_N)
-    rng = random.Random(seed)
+    rng = random.Random(whole(seed, "seed"))
     parts = []
     left = _within_max_dim(whole(dim, "dim"))
     while left:

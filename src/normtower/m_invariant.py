@@ -20,7 +20,9 @@ from .errors import (
     NotFoundBelowLimit,
 )
 from .mvalue import NEG_INF, UNDETERMINED, UNDETERMINED_LE0, format_m
-from .numtheory import _MR_BASES, MAX_N, factorize, is_prime, json_int, shown, valuation, whole
+# factorize is unused here; it stays bound for perfbench, as verify.py explains
+from .numtheory import _MR_BASES, MAX_N, factorize, is_prime, json_int  # noqa: F401
+from .numtheory import power_exponent, shown, valuation, whole
 from .roots import RootOfUnityContent, m_from_root_content
 
 # padic (biquadratic only) and galois_module (cross_check_profile only) are
@@ -284,7 +286,8 @@ def find_dirichlet_prime(p, n, limit=10**6):
     A limit below 1 + p^n is refused before p is tested."""
     start = 1 + whole(p, "p") ** whole(n, "n", floor=1, ceiling=MAX_N)
     if whole(limit, "limit") < start:
-        raise ValueError(f"limit {limit} is below 1 + p^n = {shown(start, f'1 + {p}^{n}')}")
+        past = f"1 + {shown(p)}^{n}"
+        raise ValueError(f"limit {shown(limit)} is below 1 + p^n = {shown(start, past)}")
     if not is_prime(p):
         raise ValueError("p must be prime and n >= 1")
     step = p ** (n + 1)
@@ -341,15 +344,11 @@ def index_bound_check(m, ind, p):
     if m != NEG_INF:
         whole(m, "m", floor=0)
     if not is_prime(whole(p, "p")):
-        raise ValueError(f"{p} is not prime")
-    if ind == 1:
-        return True
-    _, fac = factorize(ind)
-    if list(fac) != [p]:
-        raise ValueError(f"index {ind} is not a power of {p}")
-    if m == NEG_INF:
-        return False
-    return fac[p] <= m + 1
+        raise ValueError(f"{shown(p)} is not prime")
+    k = power_exponent(ind, p)
+    if k is None:
+        raise ValueError(f"index {shown(ind)} is not a power of {p}")
+    return k == 0 or (m != NEG_INF and k <= m + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Elementary number theory helpers: primality, factorization, Legendre
+"""Number theory helpers: primality, factorization, powers of p, Legendre
 symbols, how a message shows an int, the int and rational rules, JSON ints."""
 
 from fractions import Fraction
@@ -70,6 +70,15 @@ def valuation(n, p):
         n //= p
         k += 1
     return k
+
+
+def power_exponent(value, p):
+    """i with value == p^i, else None."""
+    i = 0
+    while value > 1 and value % p == 0:
+        value //= p
+        i += 1
+    return i if value == 1 else None
 
 
 def factorize(n):

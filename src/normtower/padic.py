@@ -9,7 +9,7 @@ an int carried to the number of digits its caller asks for.
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
-from .numtheory import factorize, is_prime, legendre, rational, whole
+from .numtheory import factorize, is_prime, legendre, rational, shown, whole
 
 INFINITE_PLACE = "inf"
 
@@ -24,7 +24,7 @@ def hensel_sqrt(u, digits):
     becomes one mod 2^(2k - 2), and it stays 1 mod 4.
     """
     if whole(digits, "digits") < 3:
-        raise ValueError(f"a 2-adic root needs at least 3 digits, got {digits}")
+        raise ValueError(f"a 2-adic root needs at least 3 digits, got {shown(digits)}")
     if whole(u, "u") % 8 != 1:
         return None
     u %= 2**digits
@@ -48,7 +48,8 @@ def _norm_place(place):
         return INFINITE_PLACE
     if isinstance(place, int) and is_prime(place):
         return place
-    raise ValueError(f"place must be a prime or 'inf', got {place!r}")
+    got = shown(place) if isinstance(place, int) else repr(place)
+    raise ValueError(f"place must be a prime or 'inf', got {got}")
 
 
 def _local_data(x, p, digits):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import MissingRootOfUnity
 from .mvalue import NEG_INF
-from .numtheory import MAX_N, factorize, is_prime, json_int, valuation, whole
+from .numtheory import MAX_N, factorize, is_prime, json_int, shown, valuation, whole
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class RootOfUnityContent:
             whole(self.value, "field order", floor=2)
             _, fac = factorize(self.value)
             if len(fac) != 1:
-                raise ValueError(f"{self.value} is not a prime power")
+                raise ValueError(f"{shown(self.value)} is not a prime power")
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
 
@@ -93,7 +93,7 @@ def m_from_root_content(base, p, n):
     m = n - s; when s exceeds n, level 0 is a member and m = -infinity.
     """
     if not is_prime(whole(p, "p")):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{shown(p)} is not prime")
     whole(n, "n", floor=1, ceiling=MAX_N)
     s = base.max_power(p)
     if s < 1:

@@ -13,7 +13,7 @@ from operator import add
 
 from . import packing
 from .errors import InternalCheckError, SearchSpaceTooLarge
-from .numtheory import is_prime, whole
+from .numtheory import is_prime, shown, whole
 
 # ---------------------------------------------------------------------------
 # the bounded unit-norm enumeration
@@ -60,16 +60,16 @@ def proposition_check(l, n, deg_bound, g=None):
     within a class have the ratios of the graded-lex leading coefficients,
     and the unit norms are those ratios times the n-th powers.
     """
-    if l > 7:
+    if whole(l, "l") > 7:
         raise SearchSpaceTooLarge("prime fields beyond F_7 are out of desk range")
-    if n > 3:
+    if whole(n, "n") > 3:
         raise SearchSpaceTooLarge("group order beyond 3 is out of desk range")
-    if deg_bound > 2:
+    if whole(deg_bound, "degree bound") > 2:
         raise SearchSpaceTooLarge("degree bound beyond 2 is out of desk range")
     g = n if g is None else whole(g, "g")
-    if not is_prime(whole(l, "l")):
+    if not is_prime(l):
         raise ValueError(f"{l} is not prime")
-    if whole(n, "n") < 1 or g < 1 or g % n:
+    if n < 1 or g < 1 or g % n:
         raise ValueError("need n >= 1 and n | g")
     whole(deg_bound, "degree bound", floor=0)
     # count the monomials before listing them, which a large g makes
@@ -78,12 +78,12 @@ def proposition_check(l, n, deg_bound, g=None):
     terms = math.comb(g + deg_bound, deg_bound)
     count = (l**terms - 1) // (l - 1) if terms < 64 else None
     if count is None or count * terms**n > MAX_WORK:
-        shown = f"({l}^{terms} - 1) / {l - 1}" if count is None else count
+        reps = f"({l}^{shown(terms)} - 1) / {l - 1}" if count is None else count
         raise SearchSpaceTooLarge(
-            f"{shown} monic representatives times {terms}^{n} exceed {MAX_WORK}"
+            f"{reps} monic representatives times {shown(terms)}^{n} exceed {MAX_WORK}"
         )
     if g > MAX_VARIABLES:  # only a degree bound of 0 gets here with g > 16
-        raise SearchSpaceTooLarge(f"g = {g} variables > {MAX_VARIABLES}")
+        raise SearchSpaceTooLarge(f"g = {shown(g)} variables > {MAX_VARIABLES}")
     monos = _monomials_upto(deg_bound, g)
 
     nth_powers = sorted({pow(c, n, l) for c in range(1, l)})

@@ -17,7 +17,7 @@ from .mvalue import NEG_INF
 # c10 reads its places off the primes it draws, not off factorize; the name
 # stays bound here because perfbench/tracing.py wraps every module binding of
 # numtheory.factorize and perfbench's own test expects this one among them
-from .numtheory import factorize  # noqa: F401
+from .numtheory import factorize, whole  # noqa: F401
 from .roots import RootOfUnityContent
 
 
@@ -100,9 +100,7 @@ def _check_quartic_seventeen(ctx):
         any(e.endswith("-1 is not a local norm there") for e in result.evidence),
         "the real places certified nothing",
     )
-    certified = sum(
-        e.endswith("not a sum of two squares in Q_2") for e in result.evidence
-    )
+    certified = sum(e.endswith("not a sum of two squares in Q_2") for e in result.evidence)
     _expect(certified >= 1, "no 2-adic branch certified -1 as a non-norm")
     return f"m = 1; real places and {certified}/2 two-adic branches certify"
 
@@ -365,7 +363,7 @@ CHECKS = (
 
 def run_checks(only=None, seed=0):
     """Run the registered checks, optionally filtered by id or name prefix."""
-    ctx = _Context(seed)
+    ctx = _Context(whole(seed, "seed"))
     records = []
     for check_id, name, fn in sorted(CHECKS, key=lambda c: c[0]):
         if only and not (check_id.startswith(only) or name.startswith(only)):

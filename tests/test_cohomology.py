@@ -153,3 +153,13 @@ def test_cohomologous_witness_is_verified():
     assert f is not None
     d = coboundary(3, 2, list(f))
     assert d.table == carrying_cocycle(3, 3, 2).table
+
+
+def test_carrying_cocycle_is_symmetric():
+    # psi(i, j) = psi(j, i) on c05's grid, so every extension cocycle-check
+    # builds is abelian, as it reports without reading the table
+    for a in range(1, 13):
+        for b in (b for b in range(1, a + 1) if a % b == 0):
+            for r in range(1, 7):
+                table = carrying_cocycle(a, b, r).table
+                assert table == tuple(zip(*table)), (a, b, r)
