@@ -3,6 +3,10 @@
 One binary, nine subcommands, deterministic output. Exit codes: 0 success,
 1 usage or parse error, 2 domain verdict, 3 internal invariant violation
 or any other unexpected exception.
+
+A plain command line, a subcommand then its own long options and
+positionals, is read straight into the namespace argparse would build;
+anything else goes through argparse, with its messages unchanged.
 """
 
 import argparse
@@ -289,7 +293,8 @@ def _build_parser():
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    parser = _Parser(prog="normtower", description=__doc__)
+    # help shows the docstring but its last paragraph, which is about how argv is read
+    parser = _Parser(prog="normtower", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
 
@@ -376,13 +381,79 @@ def _build_parser():
     return parser
 
 
+@functools.cache
+def _plain_tables():
+    """For each subcommand, read once from its subparser: its exact long
+    options that take one value, its positionals, the dests it requires,
+    and the defaults argparse sets before it reads a command line."""
+    tables = {}
+    for command, sub in _build_parser()._subparsers._group_actions[0].choices.items():
+        single = [a for a in sub._actions if type(a) is argparse._StoreAction and a.nargs is None]
+        defaults = {
+            a.dest: a.default
+            for a in sub._actions
+            if not a.required and a.default is not argparse.SUPPRESS
+        }
+        tables[command] = (
+            {s: a for a in single for s in a.option_strings if s.startswith("--")},
+            [a for a in single if not a.option_strings],
+            {a.dest for a in sub._actions if a.required},
+            {"command": command, **defaults, **sub._defaults},
+        )
+    return tables
+
+
+def _read_plain(argv):
+    """The Namespace argparse builds from argv, when argv is a plain command
+    line: a subcommand, then exact long options of its table as --k v or
+    --k=v and exactly its positionals, each value non-empty, not "--", not
+    led by "-" in the two-token form, and passing its action's type and
+    choices, with every required option given. Else None."""
+    table = _plain_tables().get(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, positionals, required, defaults = table
+    pairs, words = [], []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            words.append(token)
+            continue
+        key, eq, text = token.partition("=")
+        action = options.get(key)
+        if action is None:
+            return None
+        if not eq:
+            text = next(tokens, "-")  # a missing value reads as a "-"-led one
+            if text[:1] == "-":
+                return None
+        pairs.append((action, text))
+    if len(words) != len(positionals):
+        return None
+    values = dict(defaults)
+    for action, text in (*pairs, *zip(positionals, words)):
+        if not text or text == "--":
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except ValueError:
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values) if required <= values.keys() else None
+
+
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        # argparse drops a lone "--" even from "--p=--", leaving an empty list
-        if [] in vars(args).values():
-            parser.error("'--' is not a value")
+        args = _read_plain(argv)
+        if args is None:
+            parser = _build_parser()
+            args = parser.parse_args(argv)
+            # argparse drops a lone "--" even from "--p=--", leaving an empty list
+            if [] in vars(args).values():
+                parser.error("'--' is not a value")
     except SystemExit as err:
         return err.code or 0
     try:

@@ -327,10 +327,10 @@ def residue_norm_test(p, n, q):
     makes p^n divide q - 1, so a q past is_prime's exact bound is proved
     prime the way find_dirichlet_prime proves its candidates. Off the class
     q keeps plain is_prime, so a composite q is reported as not prime
-    before the class is checked. p, n and q are ints, n in 1..MAX_N.
+    before the class is checked. p, n and q are ints, p >= 2 and n in 1..MAX_N.
     """
     whole(q, "q")
-    pn = whole(p, "p") ** whole(n, "n", floor=1, ceiling=MAX_N)
+    pn = whole(p, "p", floor=2) ** whole(n, "n", floor=1, ceiling=MAX_N)
     congruent = q % (p * pn) == (1 + pn) % (p * pn)
     proved = _is_candidate_prime(q, p, pn) if congruent else is_prime(q)
     _require(proved, "q = {} is not prime", q)

@@ -1,5 +1,5 @@
 """Number theory helpers: primality, factorization, powers of p, Legendre
-symbols, how a message shows an int, the int and rational rules, JSON ints."""
+symbols, how a message shows a value, the int and rational rules, JSON ints."""
 
 from fractions import Fraction
 
@@ -25,6 +25,15 @@ def shown(x, past=None):
     if isinstance(x, int) and abs(x) >= PRINTABLE:
         return past or f"<int of {x.bit_length()} bits>"
     return str(x)
+
+
+def shown_repr(x):
+    """repr(x), or, where Python will not print x (a Fraction or an int
+    subclass past PRINTABLE_DIGITS digits), a note naming its type."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} past what Python prints>"
 
 
 def is_prime(n):
@@ -148,7 +157,7 @@ def whole(x, name, floor=None, ceiling=None, error=ValueError):
     """x when it is an int, not a bool, within [floor, ceiling] where given;
     else `error` naming `name`. Records and entry points call it as an int enters."""
     if type(x) is not int:
-        raise error(f"{name} must be an integer, got {x!r}")
+        raise error(f"{name} must be an integer, got {shown_repr(x)}")
     if floor is not None and x < floor:
         raise error(f"{name} must be >= {floor}")
     if ceiling is not None and x > ceiling:

@@ -9,7 +9,7 @@ an int carried to the number of digits its caller asks for.
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
-from .numtheory import factorize, is_prime, legendre, rational, shown, whole
+from .numtheory import factorize, is_prime, legendre, rational, shown, shown_repr, whole
 
 INFINITE_PLACE = "inf"
 
@@ -48,7 +48,7 @@ def _norm_place(place):
         return INFINITE_PLACE
     if isinstance(place, int) and is_prime(place):
         return place
-    got = shown(place) if isinstance(place, int) else repr(place)
+    got = shown(place) if isinstance(place, int) else shown_repr(place)
     raise ValueError(f"place must be a prime or 'inf', got {got}")
 
 

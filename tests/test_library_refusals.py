@@ -9,6 +9,7 @@ import random
 import signal
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -190,6 +191,16 @@ NAMED = {
         lambda: proposition_check(3, 2, "1"),
         "^degree bound must be an integer, got '1'$",
     ),
+    # repr of this Fraction raises Python's own ValueError: past 4,300 digits
+    "index_ladder huge Fraction p": (
+        lambda: index_ladder(Fraction(10**5000, 3), 2),
+        "^p must be an integer, got <Fraction past what Python prints>$",
+    ),
+    "hilbert_symbol huge Fraction place": (
+        lambda: hilbert_symbol(2, 3, Fraction(10**5000, 3)),
+        "^place must be a prime or 'inf', got <Fraction past what Python prints>$",
+    ),
+    "residue_norm_test p = 0": (lambda: residue_norm_test(0, 1, 13), "^p must be >= 2$"),
 }
 
 
@@ -483,6 +494,7 @@ INT_RULE_EXEMPT = {
         "numtheory.whole",
         "numtheory.rational",
         "numtheory.shown",
+        "numtheory.shown_repr",
     ],
     "formats whatever m compute_m returns": ["mvalue.format_m"],
     "the modulus search FiniteField runs after checking l and k": [
@@ -592,17 +604,26 @@ def test_int_args_rows_answer(call, args):
         call(*args)
 
 
-BOOL_AND_FLOAT = [
-    pytest.param(call, args, i, bad, id=f"{name} arg {i} {bad!r}")
-    for name, (call, args, positions) in INT_ARGS.items()
-    for i in positions
-    for bad in (True, 2.0)
-]
+def _each_int_position(values):
+    return [
+        pytest.param(call, args, i, value, id=f"{name} arg {i} {value!r}")
+        for name, (call, args, positions) in INT_ARGS.items()
+        for i in positions
+        for value in values
+    ]
 
 
-@pytest.mark.parametrize("call, args, i, bad", BOOL_AND_FLOAT)
+@pytest.mark.parametrize("call, args, i, bad", _each_int_position((True, 2.0)))
 def test_int_arg_refuses_bool_and_float(call, args, i, bad):
     args = list(args)
     args[i] = bad
     with _within_a_second(), pytest.raises((ValueError, NormTowerError)):
+        call(*args)
+
+
+@pytest.mark.parametrize("call, args, i, value", _each_int_position((0, 1, -1)))
+def test_int_arg_0_1_and_minus_1_answer_or_refuse(call, args, i, value):
+    args = list(args)
+    args[i] = value
+    with _within_a_second(), contextlib.suppress(ValueError, NormTowerError):
         call(*args)
