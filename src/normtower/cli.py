@@ -293,7 +293,7 @@ def _build_parser():
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    # help shows the docstring but its last paragraph, which is about how argv is read
+    # help shows the docstring without its last paragraph, which is about how argv is read
     parser = _Parser(prog="normtower", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
