@@ -4,28 +4,23 @@ One binary, nine subcommands, deterministic output. Exit codes: 0 success,
 1 usage or parse error, 2 domain verdict, 3 internal invariant violation
 or any other unexpected exception.
 
-A plain command line, a subcommand then its own long options and
-positionals, is read straight into the namespace argparse would build;
+The nine subcommands are declared once, in a table that both the
+argparse parser and a plain-line reader are built from. A plain command
+line, a subcommand then its own long options and positionals, is read
+straight into the namespace argparse would build, and loads no argparse;
 anything else goes through argparse, with its messages unchanged.
 """
 
-import argparse
 import functools
 import json
 import re
 import sys
+import types
 from fractions import Fraction
 
 from .errors import InternalCheckError, NormTowerError
 from .mvalue import format_m
 from .numtheory import PRINTABLE, PRINTABLE_DIGITS
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
 
 
 def _emit(args, payload, text_lines):
@@ -280,8 +275,61 @@ def _cmd_verify_paper(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the subcommand table
 # ---------------------------------------------------------------------------
+# Each subcommand: name, handler, help, and rows of a flag (or a positional's
+# name) and its add_argument kwargs; _build_parser and _plain_tables read it.
+
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text", "help": "output format"})
+_REQUIRED_INT = {"type": int, "required": True}
+
+_COMMANDS = (
+    ("decompose", _cmd_decompose, "Jordan profile, shape, and m of a module file", [
+        ("file", {"help": "module JSON file, or - for stdin"}),
+    ]),
+    ("synthesize", _cmd_synthesize, "canonical module realizing a shape", [
+        ("--p", _REQUIRED_INT),
+        ("--n", _REQUIRED_INT),
+        ("--free-ranks", {"required": True, "help": "comma-separated y_0,...,y_n"}),
+        ("--exceptional", {"type": int, "default": None, "help": "exceptional m"}),
+    ]),
+    ("m-compute", _cmd_m_compute, "norm invariant m of a tower spec file", [
+        ("--spec", {"required": True, "help": "tower spec JSON file, or - for stdin"}),
+    ]),
+    ("find-prime", _cmd_find_prime, "smallest prime q = 1 + p^n mod p^(n+1)", [
+        ("--p", _REQUIRED_INT),
+        ("--n", _REQUIRED_INT),
+        ("--limit", {"type": int, "default": 10**6}),
+    ]),
+    ("hilbert", _cmd_hilbert, "Hilbert symbol (a, b) at a place", [
+        ("--a", {"required": True, "help": "nonzero rational"}),
+        ("--b", {"required": True, "help": "nonzero rational"}),
+        ("--place", {"required": True, "help": "a prime, 'inf', or 'all' for every place"}),
+    ]),
+    ("cocycle-check", _cmd_cocycle_check,
+     "carrying cocycles for (a, b, r): validity, invariant, isomorphism", [
+        ("--a", _REQUIRED_INT),
+        ("--b", _REQUIRED_INT),
+        ("--r", _REQUIRED_INT),
+    ]),
+    ("algebra", _cmd_algebra,
+     "cyclic algebra over a finite field tower: split certificate for b", [
+        ("--l", {**_REQUIRED_INT, "help": "characteristic"}),
+        ("--d", {"type": int, "default": 1, "help": "base degree over F_l"}),
+        ("--r", {**_REQUIRED_INT, "help": "relative degree"}),
+        ("--b", {**_REQUIRED_INT, "help": "base unit (encoded)"}),
+    ]),
+    ("ufd-check", _cmd_ufd_check, "constant unit norms of rational functions vs n-th powers", [
+        ("--l", {**_REQUIRED_INT, "help": "coefficient field size"}),
+        ("--n", {**_REQUIRED_INT, "help": "norm length (variable count unless --g)"}),
+        ("--deg", {**_REQUIRED_INT, "help": "max degree of scanned numerators"}),
+        ("--g", {"type": int, "default": None, "help": "number of variables"}),
+    ]),
+    ("verify-paper", _cmd_verify_paper, "run the full verification suite", [
+        ("--seed", {"type": int, "default": 0, "help": "seed for the randomized property suites"}),
+        ("--only", {"default": None, "help": "run checks whose id or name starts here"}),
+    ]),
+)
 
 
 @functools.cache
@@ -289,125 +337,55 @@ def _build_parser():
     """The argument parser, built on first use and kept: it holds no
     per-call state, and usage and help go to the sys.stdout and sys.stderr
     current at each call."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            sys.stderr.write(f"{self.prog}: error: {message}\n")
+            raise SystemExit(1)
+
     # help shows the docstring without its last paragraph, which is about how argv is read
     parser = _Parser(prog="normtower", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
-
-    p = sub.add_parser(
-        "decompose", parents=[common], help="Jordan profile, shape, and m of a module file"
-    )
-    p.add_argument("file", help="module JSON file, or - for stdin")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser(
-        "synthesize", parents=[common], help="canonical module realizing a shape"
-    )
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--free-ranks", required=True, help="comma-separated y_0,...,y_n"
-    )
-    p.add_argument("--exceptional", type=int, default=None, help="exceptional m")
-    p.set_defaults(func=_cmd_synthesize)
-
-    p = sub.add_parser(
-        "m-compute", parents=[common], help="norm invariant m of a tower spec file"
-    )
-    p.add_argument("--spec", required=True, help="tower spec JSON file, or - for stdin")
-    p.set_defaults(func=_cmd_m_compute)
-
-    p = sub.add_parser(
-        "find-prime", parents=[common], help="smallest prime q = 1 + p^n mod p^(n+1)"
-    )
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int, default=10**6)
-    p.set_defaults(func=_cmd_find_prime)
-
-    p = sub.add_parser(
-        "hilbert", parents=[common], help="Hilbert symbol (a, b) at a place"
-    )
-    p.add_argument("--a", required=True, help="nonzero rational")
-    p.add_argument("--b", required=True, help="nonzero rational")
-    p.add_argument(
-        "--place", required=True, help="a prime, 'inf', or 'all' for every place"
-    )
-    p.set_defaults(func=_cmd_hilbert)
-
-    p = sub.add_parser(
-        "cocycle-check",
-        parents=[common],
-        help="carrying cocycles for (a, b, r): validity, invariant, isomorphism",
-    )
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=_cmd_cocycle_check)
-
-    p = sub.add_parser(
-        "algebra",
-        parents=[common],
-        help="cyclic algebra over a finite field tower: split certificate for b",
-    )
-    p.add_argument("--l", type=int, required=True, help="characteristic")
-    p.add_argument("--d", type=int, default=1, help="base degree over F_l")
-    p.add_argument("--r", type=int, required=True, help="relative degree")
-    p.add_argument("--b", type=int, required=True, help="base unit (encoded)")
-    p.set_defaults(func=_cmd_algebra)
-
-    p = sub.add_parser(
-        "ufd-check",
-        parents=[common],
-        help="constant unit norms of rational functions vs n-th powers",
-    )
-    p.add_argument("--l", type=int, required=True, help="coefficient field size")
-    p.add_argument("--n", type=int, required=True, help="norm length (variable count unless --g)")
-    p.add_argument("--deg", type=int, required=True, help="max degree of scanned numerators")
-    p.add_argument("--g", type=int, default=None, help="number of variables")
-    p.set_defaults(func=_cmd_ufd_check)
-
-    p = sub.add_parser(
-        "verify-paper", parents=[common], help="run the full verification suite"
-    )
-    p.add_argument("--seed", type=int, default=0, help="seed for the randomized property suites")
-    p.add_argument("--only", default=None, help="run checks whose id or name starts here")
-    p.set_defaults(func=_cmd_verify_paper)
-
+    for command, handler, help_text, rows in _COMMANDS:
+        p = sub.add_parser(command, help=help_text)
+        for flag, kwargs in (_FORMAT, *rows):
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 @functools.cache
 def _plain_tables():
-    """For each subcommand, read once from its subparser: its exact long
-    options that take one value, its positionals, the dests it requires,
-    and the defaults argparse sets before it reads a command line."""
+    """For each subcommand, read once from its rows: its long options as
+    (dest, type, choices), its positionals likewise, the option dests it
+    requires, and the option defaults argparse sets before it reads argv."""
     tables = {}
-    for command, sub in _build_parser()._subparsers._group_actions[0].choices.items():
-        single = [a for a in sub._actions if type(a) is argparse._StoreAction and a.nargs is None]
-        defaults = {
-            a.dest: a.default
-            for a in sub._actions
-            if not a.required and a.default is not argparse.SUPPRESS
-        }
-        tables[command] = (
-            {s: a for a in single for s in a.option_strings if s.startswith("--")},
-            [a for a in single if not a.option_strings],
-            {a.dest for a in sub._actions if a.required},
-            {"command": command, **defaults, **sub._defaults},
-        )
+    for command, handler, _, rows in _COMMANDS:
+        options, positionals, required = {}, [], set()
+        defaults = {"command": command}
+        for flag, kwargs in (_FORMAT, *rows):
+            dest = flag.lstrip("-").replace("-", "_")  # as argparse: --free-ranks is free_ranks
+            entry = (dest, kwargs.get("type"), kwargs.get("choices"))
+            if flag[:1] != "-":
+                positionals.append(entry)
+                continue
+            options[flag] = entry
+            if kwargs.get("required"):
+                required.add(dest)
+            else:
+                defaults[dest] = kwargs.get("default")
+        tables[command] = (options, positionals, required, {**defaults, "func": handler})
     return tables
 
 
 def _read_plain(argv):
-    """The Namespace argparse builds from argv, when argv is a plain command
+    """The namespace argparse builds from argv, when argv is a plain command
     line: a subcommand, then exact long options of its table as --k v or
     --k=v and exactly its positionals, each value non-empty, not "--", not
-    led by "-" in the two-token form, and passing its action's type and
+    led by "-" in the two-token form, and passing its row's type and
     choices, with every required option given. Else None."""
     table = _plain_tables().get(argv[0]) if argv else None
     if table is None:
@@ -420,28 +398,28 @@ def _read_plain(argv):
             words.append(token)
             continue
         key, eq, text = token.partition("=")
-        action = options.get(key)
-        if action is None:
+        entry = options.get(key)
+        if entry is None:
             return None
         if not eq:
             text = next(tokens, "-")  # a missing value reads as a "-"-led one
             if text[:1] == "-":
                 return None
-        pairs.append((action, text))
+        pairs.append((entry, text))
     if len(words) != len(positionals):
         return None
     values = dict(defaults)
-    for action, text in (*pairs, *zip(positionals, words)):
+    for (dest, kind, choices), text in (*pairs, *zip(positionals, words)):
         if not text or text == "--":
             return None
         try:
-            value = text if action.type is None else action.type(text)
+            value = text if kind is None else kind(text)
         except ValueError:
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
-    return argparse.Namespace(**values) if required <= values.keys() else None
+        values[dest] = value
+    return types.SimpleNamespace(**values) if required <= values.keys() else None
 
 
 def main(argv=None):
@@ -451,8 +429,10 @@ def main(argv=None):
         if args is None:
             parser = _build_parser()
             args = parser.parse_args(argv)
-            # argparse drops a lone "--" even from "--p=--", leaving an empty list
-            if [] in vars(args).values():
+            # argparse reads a lone "--" in "--p=--" as an empty list before
+            # 3.13, and as "--" from 3.13 on; either way it is not a value
+            options = _plain_tables()[args.command][0].values()
+            if any(getattr(args, dest) in ([], "--") for dest, _, _ in options):
                 parser.error("'--' is not a value")
     except SystemExit as err:
         return err.code or 0

@@ -22,7 +22,7 @@ from .errors import (
 from .mvalue import NEG_INF, UNDETERMINED, UNDETERMINED_LE0, format_m
 # factorize is unused here; it stays bound for perfbench, as verify.py explains
 from .numtheory import _MR_BASES, MAX_N, factorize, is_prime, json_int  # noqa: F401
-from .numtheory import power_exponent, shown, valuation, whole
+from .numtheory import power_exponent, shown, shown_repr, valuation, whole
 from .roots import RootOfUnityContent, m_from_root_content
 
 # padic (biquadratic only) and galois_module (cross_check_profile only) are
@@ -273,7 +273,7 @@ def _variant(spec):
     try:
         return _BY_SPEC_CLASS[type(spec)]
     except KeyError:
-        raise ValueError(f"unknown tower spec {spec!r}") from None
+        raise ValueError(f"unknown tower spec {shown_repr(spec)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +423,7 @@ def spec_from_json(data):
         raise ValueError("tower spec JSON must be an object")
     variant = data.get("variant")
     if not (isinstance(variant, str) and variant in VARIANTS):
-        raise ValueError(f"unknown tower variant {variant!r}")
+        raise ValueError(f"unknown tower variant {shown_repr(variant)}")
     cls = VARIANTS[variant][0]
     return cls(
         **{

@@ -28,8 +28,9 @@ def shown(x, past=None):
 
 
 def shown_repr(x):
-    """repr(x), or, where Python will not print x (a Fraction or an int
-    subclass past PRINTABLE_DIGITS digits), a note naming its type."""
+    """repr(x), or, where Python will not print x (it holds an int past
+    PRINTABLE_DIGITS digits, as a Fraction or a list may), a note naming
+    its type."""
     try:
         return repr(x)
     except ValueError:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import MissingRootOfUnity
 from .mvalue import NEG_INF
-from .numtheory import MAX_N, factorize, is_prime, json_int, shown, valuation, whole
+from .numtheory import MAX_N, factorize, is_prime, json_int, shown, shown_repr, valuation, whole
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,9 @@ class RootOfUnityContent:
         conductor, or "finite_field" with an integer order."""
         kind = data.get("kind") if isinstance(data, dict) else None
         if kind not in ("cyclotomic", "finite_field"):
-            raise ValueError(f"base must be a cyclotomic or finite_field object, got {data!r}")
+            raise ValueError(
+                f"base must be a cyclotomic or finite_field object, got {shown_repr(data)}"
+            )
         value = json_int(data, _VALUE_KEYS[kind], "base")
         return cls.cyclotomic(value) if kind == "cyclotomic" else cls.finite_field(value)
 

@@ -5,7 +5,6 @@ and hands anything else to argparse. Wherever it reads one, it must build
 exactly the namespace argparse builds, with nothing left over.
 """
 
-import argparse
 import contextlib
 import io
 import random
@@ -93,11 +92,20 @@ def test_plain_reader_leaves_the_rest_to_argparse():
 
 
 def test_every_subcommand_action_is_one_the_table_reads():
-    # the table holds one-value store actions and the defaults argparse sets
-    # unchanged: a positional of another kind, or a str default that argparse
-    # would pass through a type, would need the reader to learn it first
-    for sub in cli._build_parser()._subparsers._group_actions[0].choices.values():
-        for action in sub._actions:
-            if not action.option_strings:
-                assert type(action) is argparse._StoreAction and action.nargs is None
-            assert not (isinstance(action.default, str) and action.type is not None)
+    # the reader takes one-value rows and the defaults argparse sets
+    # unchanged: a positional with more than a help, a str default that
+    # argparse would pass through a type, or any other kwarg would need the
+    # reader to learn it first
+    for _, _, _, rows in cli._COMMANDS:
+        for flag, kwargs in (cli._FORMAT, *rows):
+            assert set(kwargs) <= {"type", "choices", "required", "default", "help"}, flag
+            if flag[:1] != "-":
+                assert set(kwargs) <= {"help"}, flag
+            assert not (isinstance(kwargs.get("default"), str) and "type" in kwargs), flag
+
+
+def test_a_plain_line_builds_no_parser(capsys):
+    cli._build_parser.cache_clear()
+    assert cli.main(["find-prime", "--p", "2", "--n", "2"]) == 0
+    assert capsys.readouterr().out == "5\n"
+    assert cli._build_parser.cache_info().currsize == 0

@@ -1,6 +1,7 @@
 """Which normtower modules a fresh interpreter loads: `import normtower.cli`
-alone, and one call of each subcommand below. A module-level import that
-pulls in more than the subcommand runs fails here."""
+alone, `--help`, and one call of each subcommand below. A module-level
+import that pulls in more than the subcommand runs fails here, and so does
+argparse loaded by anything but a line the plain reader leaves to it."""
 
 import json
 import os
@@ -19,7 +20,8 @@ rc = None
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(sys.argv[1:])
-print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("normtower"))]))
+loaded = sorted(m for m in sys.modules if m.startswith("normtower"))
+print(json.dumps([rc, loaded, "argparse" in sys.modules]))
 """
 
 CLI = {"normtower", "normtower.cli", "normtower.errors", "normtower.mvalue", "normtower.numtheory"}
@@ -29,6 +31,7 @@ CLI = {"normtower", "normtower.cli", "normtower.errors", "normtower.mvalue", "no
     "argv, extra",
     [
         ([], set()),
+        (["--help"], set()),
         (["hilbert", "--a=-3/4", "--b", "6", "--place", "all"], {"padic"}),
         (["cocycle-check", "--a", "8", "--b", "2", "--r", "4"], {"cohomology"}),
         (["decompose", "module.json"], {"galois_module", "fp_linalg", "_kernels", "packing"}),
@@ -44,6 +47,7 @@ CLI = {"normtower", "normtower.cli", "normtower.errors", "normtower.mvalue", "no
     ],
     ids=[
         "import",
+        "help",
         "hilbert",
         "cocycle-check",
         "decompose",
@@ -66,6 +70,8 @@ def test_loaded_modules(tmp_path, argv, extra):
         env=dict(os.environ, PYTHONPATH=SRC),
         check=True,
     )
-    rc, loaded = json.loads(proc.stdout)
+    rc, loaded, argparse_loaded = json.loads(proc.stdout)
     assert rc == (0 if argv else None)
     assert set(loaded) == CLI | {f"normtower.{name}" for name in extra}
+    # only a line the plain reader leaves to argparse loads it
+    assert argparse_loaded == (argv == ["--help"])

@@ -200,6 +200,18 @@ NAMED = {
         lambda: hilbert_symbol(2, 3, Fraction(10**5000, 3)),
         "^place must be a prime or 'inf', got <Fraction past what Python prints>$",
     ),
+    "root content huge list": (
+        lambda: roots.RootOfUnityContent.from_json([10**5000]),
+        "^base must be a cyclotomic or finite_field object, got <list past what Python prints>$",
+    ),
+    "explain_m huge int spec": (
+        lambda: m_invariant.explain_m(10**5000 * 3),
+        "^unknown tower spec <int past what Python prints>$",
+    ),
+    "spec_from_json huge variant": (
+        lambda: m_invariant.spec_from_json({"variant": [10**5000]}),
+        "^unknown tower variant <list past what Python prints>$",
+    ),
     "residue_norm_test p = 0": (lambda: residue_norm_test(0, 1, 13), "^p must be >= 2$"),
 }
 
