@@ -422,18 +422,36 @@ def _read_plain(argv):
     return types.SimpleNamespace(**values) if required <= values.keys() else None
 
 
+def _gives_dash_dash(argv):
+    """Whether argv, before any lone "--", holds a token --k=-- in which k
+    names an option of its subcommand: exactly, or as an abbreviation that
+    argparse reads as that option alone."""
+    table = _plain_tables().get(argv[0]) if argv else None
+    if table is None:
+        return False
+    options = table[0]
+    for token in argv[1:]:
+        if token == "--":
+            return False
+        key, eq, text = token.partition("=")
+        if eq and text == "--" and key[:2] == "--":
+            named = [flag for flag in (*options, "--help") if flag.startswith(key)]
+            if key in options or len(named) == 1 and named[0] in options:
+                return True
+    return False
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _read_plain(argv)
         if args is None:
             parser = _build_parser()
-            args = parser.parse_args(argv)
-            # argparse reads a lone "--" in "--p=--" as an empty list before
-            # 3.13, and as "--" from 3.13 on; either way it is not a value
-            options = _plain_tables()[args.command][0].values()
-            if any(getattr(args, dest) in ([], "--") for dest, _, _ in options):
+            # argparse reads "--k=--" as an empty list before 3.13 and as "--"
+            # from 3.13 on, which meets k's type and choices; neither is a value
+            if _gives_dash_dash(argv):
                 parser.error("'--' is not a value")
+            args = parser.parse_args(argv)
     except SystemExit as err:
         return err.code or 0
     try:

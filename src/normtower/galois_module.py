@@ -78,10 +78,11 @@ class GModule:
 
 def _nilpotent_part(sigma):
     """The flat entries of N = sigma - 1, each in [0, p) like sigma's: a
-    bytearray for p <= 256, which the kernels' to_fields copies rather than
-    converts, else a list. The diagonal is set by one slice assignment."""
+    copy of sigma's buffer, a bytearray for p <= 256, which the kernels'
+    to_fields copies rather than converts, else a list. The diagonal is set
+    by one slice assignment."""
     d, p = sigma.rows, sigma.p
-    nil = bytearray(sigma.entries) if p <= 256 else list(sigma.entries)
+    nil = bytearray(sigma._residues) if p <= 256 else sigma.entries
     nil[:: d + 1] = [(x - 1) % p for x in nil[:: d + 1]]
     return nil
 
@@ -141,10 +142,10 @@ class DecompositionShape:
 
 
 def exceptional_range(p, n):
-    """The m < n with an exceptional summand of dimension p^m + 1. That
-    dimension is a power of p, so a free block, only at p = 2, m = 0: for
-    m >= 1 it is 1 mod p."""
-    return range(1 if whole(p, "p") == 2 else 0, whole(n, "n"))
+    """The m < n with an exceptional summand of dimension p^m + 1, for p >= 2
+    and n in 1..MAX_N; its callers prove p prime. That dimension is a power
+    of p, so a free block, only at p = 2, m = 0: for m >= 1 it is 1 mod p."""
+    return range(1 if whole(p, "p", floor=2) == 2 else 0, whole(n, "n", floor=1, ceiling=MAX_N))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +222,7 @@ def _block_diagonal(p, sizes):
     """sigma with one Jordan block per size: ones on the diagonal and on the
     superdiagonal inside each block."""
     dim = sum(sizes)
+    fp_linalg._check_shape(p, dim, dim)
     flat = [0] * (dim * dim)
     flat[:: dim + 1] = [1] * dim
     at = 0
@@ -228,7 +230,7 @@ def _block_diagonal(p, sizes):
         for i in range(at, at + s - 1):
             flat[i * (dim + 1) + 1] = 1
         at += s
-    return FpMatrix(p, dim, dim, flat)
+    return FpMatrix._of(p, dim, dim, flat)
 
 
 def synthesize(shape):
@@ -404,9 +406,9 @@ def module_from_json(data):
         and all(isinstance(row, list) and len(row) == len(sigma) for row in sigma)
     ):
         raise ValueError("module JSON 'sigma' must be a non-empty square list of rows")
-    d = _within_max_dim(len(sigma))
+    _within_max_dim(len(sigma))
     try:
-        sigma = FpMatrix(p, d, d, list(itertools.chain.from_iterable(sigma)))
+        sigma = FpMatrix.from_rows(p, sigma)
     except NonIntegerEntries:
         raise ValueError("module JSON 'sigma' entries must be integers") from None
     return GModule(p, n, sigma)

@@ -287,8 +287,6 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "no-such-command")[0] == 1
     assert run(capsys, "find-prime", "--p", "2")[0] == 1  # missing --n
     assert run(capsys, "find-prime", "--p", "four", "--n", "1")[0] == 1
-    # "--p=--" reaches int() as "--" from Python 3.13 on, and before then
-    # argparse hands it over as an empty list, which main refuses
     assert run(capsys, "find-prime", "--p=--", "--n", "1")[:2] == (1, "")
     assert run(capsys)[0] == 1
     # g = 0 is not a default for g = n
@@ -302,13 +300,39 @@ def test_usage_errors_exit_1(capsys):
         ["hilbert", "--a=--", "--b", "3", "--place", "2"],
         ["m-compute", "--spec=--"],
         ["verify-paper", "--only=--"],
+        # a typed option, an option with choices and abbreviations of both:
+        # from Python 3.13 on argparse would run int() or the choices on "--"
+        ["find-prime", "--p=--", "--n", "1"],
+        ["find-prime", "--p", "2", "--n", "1", "--li=--"],
+        ["synthesize", "--format=--", "--p", "2", "--n", "1", "--free-ranks", "1,1"],
+        ["synthesize", "--fo=--", "--p", "2", "--n", "1", "--free-ranks", "1,1"],
+        # refused before argparse looks for the missing --n
+        ["find-prime", "--p=--"],
     ],
 )
 def test_a_lone_dash_dash_is_not_an_option_value(capsys, argv):
-    # before Python 3.13 argparse reads "--k=--" as an empty list, and from
-    # 3.13 on as "--"; main refuses both the same way
+    # main refuses "--k=--" before argparse reads it, in the same words on
+    # every Python: argparse reads it as an empty list before 3.13 and as
+    # "--" from 3.13 on
     usage = "usage: normtower [-h] COMMAND ...\n"
     assert run(capsys, *argv) == (1, "", usage + "normtower: error: '--' is not a value\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--", "--format=--"],  # after a lone "--", a positional
+        ["synthesize", "--f=--"],  # ambiguous: --format or --free-ranks
+        ["find-prime", "--help=--"],
+        ["find-prime", "--h=--"],
+        ["find-prime", "--q=--"],  # no option of find-prime
+        ["find-prime", "-p=--"],
+        ["no-such-command", "--p=--"],
+        [],
+    ],
+)
+def test_dash_dash_refusal_leaves_other_tokens_to_argparse(argv):
+    assert cli._gives_dash_dash(argv) is False
 
 
 def test_a_positional_after_dash_dash_is_a_value(capsys, tmp_path, monkeypatch):

@@ -1,9 +1,10 @@
 import random
+import re
 
 import pytest
 
 from normtower import _kernels, fp_linalg
-from normtower.errors import NotInvertible
+from normtower.errors import NormTowerError, NotInvertible
 from normtower.fp_linalg import FpMatrix
 
 
@@ -62,6 +63,61 @@ def test_entries_are_the_residues_of_the_input(p, make):
     entries = make(p)
     assert FpMatrix(p, 2, 3, entries).entries == [x % p for x in entries]
     assert FpMatrix(p, 2, 3, tuple(entries)).entries == [x % p for x in entries]
+
+
+@pytest.mark.parametrize("make", RESIDUE_CASES.values(), ids=RESIDUE_CASES.keys())
+@pytest.mark.parametrize("p", [2, 251, 257, 2**61 - 1])
+def test_from_rows_reads_the_rows_as_the_flat_constructor(p, make):
+    entries = make(p)
+    rows = [entries[:3], entries[3:]]
+    flat = FpMatrix(p, 2, 3, entries)
+    for m in (FpMatrix.from_rows(p, rows), FpMatrix.from_rows(p, tuple(map(tuple, rows)))):
+        assert m == flat and flat == m
+        assert m.entries == flat.entries == [x % p for x in entries]
+        assert [m.row(i) for i in (0, 1, -1)] == [flat.row(i) for i in (0, 1, -1)]
+        assert m.to_rows() == flat.to_rows() == [[x % p for x in row] for row in rows]
+    # the same buffer in another shape is another matrix
+    assert FpMatrix.from_rows(p, [entries]) != flat
+
+
+@pytest.mark.parametrize(
+    "p, rows",
+    [
+        (2, [[1, True], [0, 1]]),
+        (3, [[1, 2.0], [0, 1]]),
+        (251, [["1", 0], [0, 1]]),
+        (257, [[None, 0], [0, 1]]),
+        (4, [[1, True], [0, 1]]),  # a non-int entry is refused before the modulus
+        (4, [[1, 0], [0, 1]]),
+        (1, [[1, 0], [0, 1]]),
+        (True, [[1, 0], [0, 1]]),
+        (2**61 + 1, [[1, 0], [0, 1]]),
+        (3, [[], []]),
+    ],
+)
+def test_from_rows_refuses_as_the_flat_constructor(p, rows):
+    flat = [x for row in rows for x in row]
+    with pytest.raises((ValueError, NormTowerError)) as expected:
+        FpMatrix(p, len(rows), len(rows[0]), flat)
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        FpMatrix.from_rows(p, rows)
+
+
+@pytest.mark.parametrize("p", [2, 251, 257, 2**61 - 1])
+def test_computed_matrices_equal_the_matrices_of_their_entries(p):
+    rng = random.Random(p)
+    a = fp_linalg.random_invertible(p, 4, rng)
+    for m in (a, fp_linalg.inverse(a), fp_linalg.mat_mul(a, a)):
+        assert FpMatrix(p, 4, 4, m.entries) == m
+        assert FpMatrix.from_rows(p, m.to_rows()) == m
+
+
+def test_entries_are_a_new_list_each_time():
+    m = FpMatrix(3, 1, 2, [1, 2])
+    m.entries[0] = 0
+    m.row(0)[0] = 0
+    m.to_rows()[0][0] = 0
+    assert m.entries == [1, 2]
 
 
 @pytest.mark.parametrize("p", [2, 3, 251])

@@ -106,11 +106,29 @@ def test_exceptional_range_matches_power_test():
     # the reference is the test the shape and the classifier made before:
     # m < n is exceptional when p^m + 1 is not a power of p
     for p in filter(is_prime, range(2, 100)):
-        for n in range(9):
+        for n in range(1, 9):
             expected = [
                 m for m in range(n) if numtheory.power_exponent(p**m + 1, p) is None
             ]
             assert list(exceptional_range(p, n)) == expected, (p, n)
+    # primality stays with the callers, which refuse a composite p in their own order
+    assert exceptional_range(4, 2) == range(0, 2)
+
+
+@pytest.mark.parametrize(
+    "p, n, message",
+    [
+        (1, 3, "^p must be >= 2$"),
+        (0, 2, "^p must be >= 2$"),
+        (-3, 2, "^p must be >= 2$"),
+        (3, 0, "^n must be >= 1$"),
+        (3, -1, "^n must be >= 1$"),
+        (3, numtheory.MAX_N + 1, f"^n must be at most {numtheory.MAX_N}, got {numtheory.MAX_N + 1}$"),
+    ],
+)
+def test_exceptional_range_refuses_p_below_2_and_n_outside_1_to_max_n(p, n, message):
+    with pytest.raises(ValueError, match=message):
+        exceptional_range(p, n)
 
 
 def test_gmodule_refuses_past_max_dim_before_ranks(monkeypatch):
@@ -124,6 +142,21 @@ def test_gmodule_refuses_past_max_dim_before_ranks(monkeypatch):
         GModule(2, 1, identity)
     with pytest.raises(SearchSpaceTooLarge, match="^dimension 600 > 512$"):
         decompose(module_from_profile(3, 1, [1] * 600))
+
+
+@pytest.mark.parametrize(
+    "p, sizes, message",
+    [
+        (4, [2], "^modulus 4 is not prime$"),
+        (1, [1], "^modulus 1 is not prime$"),
+        (2, [], "^rows must be >= 1$"),
+    ],
+)
+def test_block_diagonal_sigma_refuses_as_a_checked_matrix(p, sizes, message):
+    # sigma is built unchecked from residues, so the modulus and the
+    # dimension are checked before it, in FpMatrix's words
+    with pytest.raises(ValueError, match=message):
+        module_from_profile(p, 1, sizes)
 
 
 def test_classifier_prefers_free_blocks():
