@@ -1,9 +1,9 @@
 """Dense exact linear algebra over prime fields F_p.
 
 A matrix keeps its entries once, as residues in [0, p) in one row-major
-buffer: `bytes` when p <= 256, else a list of ints. The product, the rank
-and the inverse hand that buffer to _kernels as it is; `entries`, `row`
-and `to_rows` build lists from it. A matrix refuses any entry that is not
+buffer: `bytes` when p <= 256, else a list of ints. The product and the
+rank hand that buffer to _kernels as it is; `entries`, `row`, `to_rows`
+and the inverse build lists from it. A matrix refuses any entry that is not
 an int (a bool included) in one pass over their types and reduces them
 mod p as it is built: in C, through bytes, when p <= 256 and they are
 already residues, else by `x % p`. Matrices the library computes hold
