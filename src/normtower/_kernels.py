@@ -27,13 +27,15 @@ def _pack_rows(mat, rows, cols, p, size):
 
 
 def mat_mul(a, b, n, k, m, p):
-    """(n x k) times (k x m) over F_p, flat row-major. Row i of the product
-    is one packed sum of a[i, t] times row t of b, then one reduce."""
+    """(n x k) times (k x m) over F_p, flat row-major: bytes for p <= 256,
+    else a list. Row i of the product is one packed sum of a[i, t] times
+    row t of b, then one reduce."""
     size, s, mult, qmask = layout(k, p, m)
     brows = _pack_rows(b, k, m, p, size)
     sums = (sum(map(mul, a[i * k : (i + 1) * k], brows)) for i in range(n))
     raw = b"".join(reduce(x, p, mult, s, qmask).to_bytes(m * size, "little") for x in sums)
-    return list(from_fields(raw, p, size))
+    out = from_fields(raw, p, size)
+    return out if p <= 256 else list(out)
 
 
 def _echelon(vectors, p, size, s, m, qmask, row):

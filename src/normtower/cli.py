@@ -31,17 +31,22 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _load_json(path):
+def _read_text(path):
+    """The file at path, or stdin for "-", read as json.load reads it: in
+    text mode, with the default encoding and universal newlines."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as handle:
+        return handle.read()
+
+
+def _parse_json(path, text):
     try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as handle:
-            return json.load(handle)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: invalid JSON: {err}") from None
     except RecursionError:
         raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
-
 
 # ---------------------------------------------------------------------------
 # subcommands
@@ -53,7 +58,12 @@ def _load_json(path):
 def _cmd_decompose(args):
     from . import galois_module
 
-    mod = galois_module.module_from_json(_load_json(args.file))
+    # a plain module file is read straight into its matrix; any other text
+    # is parsed as JSON, with the same answer and the same errors
+    text = _read_text(args.file)
+    mod = galois_module.read_plain_module(text)
+    if mod is None:
+        mod = galois_module.module_from_json(_parse_json(args.file, text))
     profile, shape = galois_module.decompose(mod)
     m = galois_module.m_from_shape(shape)
     payload = {
@@ -97,7 +107,7 @@ def _cmd_synthesize(args):
 def _cmd_m_compute(args):
     from . import m_invariant
 
-    spec = m_invariant.spec_from_json(_load_json(args.spec))
+    spec = m_invariant.spec_from_json(_parse_json(args.spec, _read_text(args.spec)))
     result = m_invariant.explain_m(spec)
     payload = {
         "spec": m_invariant.spec_to_json(spec),

@@ -10,7 +10,7 @@ already residues, else by `x % p`. Matrices the library computes hold
 residues by construction and skip both.
 """
 
-from itertools import chain
+from itertools import chain, repeat
 
 from . import _kernels
 from .errors import NonIntegerEntries, NotInvertible
@@ -49,7 +49,8 @@ class FpMatrix:
     def _of(cls, p, rows, cols, residues):
         """The matrix of `residues`, unchecked: p is a prime, rows and cols
         are at least 1, and residues holds rows * cols ints in [0, p), as
-        bytes or a list for p <= 256 and as a list no one else holds above."""
+        bytes (kept as they are), a bytearray or a list for p <= 256 and as
+        a list no one else holds above."""
         self = cls.__new__(cls)
         self._store(p, rows, cols, residues)
         return self
@@ -142,10 +143,12 @@ def inverse(a):
 
 
 def random_invertible(p, n, rng):
-    """Uniform-entry sampling with rejection; deterministic under a seeded rng."""
+    """Uniform-entry sampling with rejection; deterministic under a seeded rng.
+    The draws go straight into bytes for p <= 256."""
     p, n = whole(p, "modulus"), whole(n, "n")
     _check_shape(p, n, n)
+    fill = bytes if p <= 256 else list
     while True:
-        m = FpMatrix._of(p, n, n, [rng.randrange(p) for _ in range(n * n)])
+        m = FpMatrix._of(p, n, n, fill(map(rng.randrange, repeat(p, n * n))))
         if rank(m) == n:
             return m

@@ -8,11 +8,19 @@ Such a module splits as a sum of free pieces F_p[G/H] (dimension a power of
 p) plus at most one exceptional summand of dimension p^m + 1 with m < n; the
 integer m there is the value the norm-ladder invariant must take. A shape
 records the free multiplicities y_0..y_n and the optional exceptional m.
+
+A module file is JSON. read_plain_module reads a plain one, whose sigma is
+a square array of one-digit integers, straight into its residue buffer
+with a few bytes operations and no Python int per entry; it declines any
+other text, which module_from_json reads after json.loads. Both give the
+same module and raise the same errors on every text the first accepts.
 """
 
 import itertools
+import json
 import math
 import random
+import re
 from dataclasses import dataclass
 
 from . import _kernels, fp_linalg
@@ -220,17 +228,16 @@ def decompose(mod):
 
 def _block_diagonal(p, sizes):
     """sigma with one Jordan block per size: ones on the diagonal and on the
-    superdiagonal inside each block."""
+    superdiagonal, but for a zero where one block ends and the next begins.
+    It is filled as bytes, by slices."""
     dim = sum(sizes)
     fp_linalg._check_shape(p, dim, dim)
-    flat = [0] * (dim * dim)
-    flat[:: dim + 1] = [1] * dim
-    at = 0
-    for s in sizes:
-        for i in range(at, at + s - 1):
-            flat[i * (dim + 1) + 1] = 1
-        at += s
-    return FpMatrix._of(p, dim, dim, flat)
+    flat = bytearray(dim * dim)
+    flat[:: dim + 1] = b"\x01" * dim
+    flat[1 :: dim + 1] = b"\x01" * (dim - 1)
+    for at in itertools.accumulate(sizes[:-1]):  # the first row of each later block
+        flat[(at - 1) * (dim + 1) + 1] = 0
+    return FpMatrix._of(p, dim, dim, flat if p <= 256 else list(flat))
 
 
 def synthesize(shape):
@@ -412,3 +419,50 @@ def module_from_json(data):
     except NonIntegerEntries:
         raise ValueError("module JSON 'sigma' entries must be integers") from None
     return GModule(p, n, sigma)
+
+
+# the value of a "sigma" key, from its "[" to the first "]" closing a row
+# that is followed by "]"; JSON whitespace is space, tab, LF and CR only
+_PLAIN_SIGMA = re.compile(
+    r'"sigma"[ \t\n\r]*:[ \t\n\r]*(\[[ \t\n\r]*\[[^\]]*\]'
+    r'(?:[ \t\n\r]*,[ \t\n\r]*\[[^\]]*\])*[ \t\n\r]*\])'
+)
+_DIGITS = b"0123456789"
+_ZEROS = bytes.maketrans(_DIGITS, b"0" * 10)
+
+
+def read_plain_module(text):
+    """The module of a plain module file's text, or None when the text is
+    not plain. Plain text is ASCII with no backslash and exactly one
+    "sigma", whose value is a square array of one-digit JSON integers
+    apart only by JSON whitespace; the rest of the object, with that value
+    replaced by null, must parse with the null as its top-level "sigma".
+
+    sigma is read with bytes operations in C: its whitespace deleted, every
+    digit mapped to 0 and the result compared with the one [[0,...,0],...]
+    of its length, then the digits translated into residues mod p. p, n
+    and the dimension pass module_from_json's checks in its order, so on
+    every text this accepts it gives the module and raises the errors that
+    module_from_json(json.loads(text)) does."""
+    if not text.isascii() or "\\" in text or text.count('"sigma"') != 1:
+        return None
+    found = _PLAIN_SIGMA.search(text)
+    if found is None:
+        return None
+    compact = found[1].encode().translate(None, b" \t\n\r")
+    # [[0,...,0],...] of dimension d has 2d^2 + 2d + 1 = ((2d + 1)^2 + 1) / 2 bytes
+    d = (math.isqrt(2 * len(compact) - 1) - 1) // 2
+    row = b"[" + b"0," * (d - 1) + b"0]"
+    if d < 1 or compact.translate(_ZEROS) != b"[" + b",".join([row] * d) + b"]":
+        return None
+    try:
+        data = json.loads(text[: found.start(1)] + "null" + text[found.end(1) :])
+    except (ValueError, RecursionError):  # left to json.loads(text) to report
+        return None
+    if not isinstance(data, dict) or "sigma" not in data:
+        return None
+    p, n = json_int(data, "p", "module"), json_int(data, "n", "module")
+    _within_max_dim(d)
+    fp_linalg._check_shape(p, d, d)
+    residues = compact.translate(bytes.maketrans(_DIGITS, bytes(k % p for k in range(10))), b"[],")
+    return GModule(p, n, FpMatrix._of(p, d, d, residues if p <= 256 else list(residues)))

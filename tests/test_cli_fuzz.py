@@ -4,7 +4,9 @@ Valid argument vectors for all nine subcommands, and valid module and
 tower spec JSON, are mutated: types and signs swapped, numbers pushed past
 each guard, keys dropped, objects nested, and the flags a subcommand does
 not take added. Every run must exit 0, 1 or 2 with no traceback and no
-`internal error` line, within a time limit that only a hang exceeds.
+`internal error` line, within a time limit that only a hang exceeds. A
+module file's text is mutated too, and `decompose` must print the same
+with the plain module reader as with the JSON path alone.
 """
 
 import json
@@ -13,11 +15,14 @@ import signal
 
 import pytest
 
+from normtower import galois_module
 from normtower.cli import main
+from normtower.errors import NormTowerError
 from normtower.galois_module import MAX_DIM
 
 SEED = 20240
 CASES = 600  # argument vectors; each JSON file below adds its own mutations
+TEXT_CASES = 300  # mutated module file texts, each run on both read paths
 # per run: a hang, not a slow input; ufd-check --l 3 --n 3 --deg 1 --g 9
 # took about 7 s before ufd-check bounded its work, and now exits 2
 SECONDS = 20
@@ -122,6 +127,40 @@ def module_cases(rng):
         yield module(rows)
 
 
+# text-level mutations of the module file: the plain reader must read each
+# as json.loads does, or leave it to json.loads
+WHITESPACE = (" ", "\t", "\n", "\r", "\r\n", "\f", "\v")
+ENTRIES = ("01", "10", "-1", "true")
+
+
+def mutate_module_text(rng):
+    """VALID_MODULE's file with one or two text mutations: whitespace
+    inserted, keys reordered (in compact or indented form), a BOM, CRLF line
+    endings, one entry replaced, or one bracket or comma dropped."""
+    keys = list(VALID_MODULE)
+    rng.shuffle(keys)
+    text = json.dumps({k: VALID_MODULE[k] for k in keys}, **rng.choice(
+        ({}, {"separators": (",", ":")}, {"indent": 2}, {"indent": 1, "sort_keys": True})
+    ))
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice(WHITESPACE) + text[at:]
+        elif kind == 1:
+            text = "\ufeff" + text
+        elif kind == 2:
+            text = text.replace("\n", "\r\n") if "\n" in text else text.replace(",", ",\r\n")
+        elif kind == 3:
+            start = text.index("[")
+            at = rng.choice([i for i, c in enumerate(text) if c in "01" and i > start])
+            text = text[:at] + rng.choice(ENTRIES) + text[at + 1 :]
+        else:
+            at = rng.choice([i for i, c in enumerate(text) if c in "[],"])
+            text = text[:at] + text[at + 1 :]
+    return text
+
+
 def spec_cases(rng):
     yield from VALID_SPECS
     yield list(VALID_SPECS)
@@ -155,7 +194,7 @@ def call(capsys):
         out = capsys.readouterr()
         assert code in (0, 1, 2), (argv, code, out.err)
         assert "Traceback" not in out.err and "internal error" not in out.err, (argv, out.err)
-        return code, out.err
+        return code, out.out, out.err
 
     yield run
     signal.signal(signal.SIGALRM, previous)
@@ -186,6 +225,26 @@ def test_mutated_json_keeps_the_exit_contract(call, tmp_path):
         call(["m-compute", "--spec", str(path)])
 
 
+def test_mutated_module_text_reads_alike_on_both_paths(call, tmp_path, monkeypatch):
+    rng = random.Random(SEED)
+    path = tmp_path / "module.json"
+    plain = 0
+    for _ in range(TEXT_CASES):
+        text = mutate_module_text(rng)
+        path.write_bytes(text.encode())
+        argv = ["decompose", str(path), "--format", rng.choice(("json", "text"))]
+        with monkeypatch.context() as patch:
+            patch.setattr(galois_module, "read_plain_module", lambda text: None)
+            parsed = call(argv)
+        assert call(argv) == parsed, repr(text)
+        try:
+            plain += galois_module.read_plain_module(path.read_text()) is not None
+        except (ValueError, NormTowerError):  # taken, and refused as the JSON path refuses
+            plain += 1
+    # whitespace, key order and CRLF keep a file plain; the other mutations do not
+    assert 0 < plain < TEXT_CASES
+
+
 def test_flags_a_subcommand_does_not_take_exit_1(call, tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(VALID_SPECS[-1]))
@@ -199,5 +258,5 @@ def test_flags_a_subcommand_does_not_take_exit_1(call, tmp_path):
             value = files.get(value, value)
             argv += [value] if key is None else [key, value]
         for flag in {"--precision", "--seed"} - takes.get(command, set()):
-            code, err = call(argv + [flag, "3"])
+            code, _, err = call(argv + [flag, "3"])
             assert code == 1 and f"unrecognized arguments: {flag} 3" in err, (argv, flag)

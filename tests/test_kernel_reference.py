@@ -61,10 +61,16 @@ def test_mat_mul_matches_the_reference(p):
                 a = random_matrix(rng, rows, inner, p, kind)
                 b = random_matrix(rng, inner, cols, p, "dense")
                 expected = dense_rank_reference.mat_mul(a, b, rows, inner, cols, p)
-                assert _kernels.mat_mul(a, b, rows, inner, cols, p) == expected
+                assert list(_kernels.mat_mul(a, b, rows, inner, cols, p)) == expected
     # every entry p - 1: each field sums k products of the largest residues
     full = [p - 1] * 81
-    assert _kernels.mat_mul(full, full, 9, 9, 9, p) == [9 * (p - 1) ** 2 % p] * 81
+    assert list(_kernels.mat_mul(full, full, 9, 9, 9, p)) == [9 * (p - 1) ** 2 % p] * 81
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mat_mul_returns_bytes_up_to_256_else_a_list(p):
+    product = _kernels.mat_mul([1, 0, 0, 1], [0, 1, 1, 0], 2, 2, 2, p)
+    assert type(product) is (bytes if p <= 256 else list)
 
 
 @pytest.mark.parametrize("p", [p for p in PRIMES if p < 2**64])

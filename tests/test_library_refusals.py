@@ -548,7 +548,7 @@ INT_RULE_EXEMPT = {
 EXEMPT = [name for names in INT_RULE_EXEMPT.values() for name in names]
 
 # public callables that take no int: matrices, modules, shapes, specs, cocycles,
-# algebra elements, JSON data, argv or a check tag
+# algebra elements, JSON data, a module file's text, argv or a check tag
 NO_INT = {
     "_kernels.backend_name",
     "cli.main",
@@ -579,6 +579,7 @@ NO_INT = {
     "galois_module.bruteforce_block_sizes",
     "galois_module.module_to_json",
     "galois_module.module_from_json",
+    "galois_module.read_plain_module",
     "m_invariant.BiquadraticSpec.p",
     "m_invariant.BiquadraticSpec.n",
     "m_invariant.MResult.m_text",
