@@ -48,6 +48,7 @@ def _parse_json(path, text):
     except RecursionError:
         raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
 
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
