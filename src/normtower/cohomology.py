@@ -56,7 +56,7 @@ def carrying_cocycle(a, b, r):
     when (i mod b) + (j mod b) >= b. With b = a it is the full wrap-around
     cocycle of the cyclic extension Z/ar of Z/a.
     """
-    if a % whole(b, "b", floor=1) != 0:
+    if whole(a, "a") % whole(b, "b", floor=1) != 0:
         raise ValueError("b must be a positive divisor of a")
     whole(r, "r", floor=1)
     if whole(a, "a", floor=1) > MAX_A:
@@ -146,7 +146,7 @@ def extension_isomorphism(a, b, r):
     share their invariant. Above MAX_A or MAX_ORDER this raises
     SearchSpaceTooLarge before any table is built.
     """
-    if a % whole(b, "b", floor=1) != 0:
+    if whole(a, "a") % whole(b, "b", floor=1) != 0:
         raise ValueError("b must be a positive divisor of a")
     if a > MAX_A:
         raise SearchSpaceTooLarge(f"a = {shown(a)} > {MAX_A}")

@@ -1,13 +1,14 @@
 """Dense exact linear algebra over prime fields F_p.
 
 A matrix keeps its entries once, as residues in [0, p) in one row-major
-buffer: `bytes` when p <= 256, else a list of ints. The product and the
-rank hand that buffer to _kernels as it is; `entries`, `row`, `to_rows`
-and the inverse build lists from it. A matrix refuses any entry that is not
-an int (a bool included) in one pass over their types and reduces them
-mod p as it is built: in C, through bytes, when p <= 256 and they are
-already residues, else by `x % p`. Matrices the library computes hold
-residues by construction and skip both.
+buffer that FpMatrix._store alone picks and no other module reads: `bytes`
+when p <= 256, else a list of ints. The product, the rank and
+`unipotent_ranks` hand it, or a copy, to _kernels; `entries`, `row`,
+`to_rows` and the inverse build lists from it. A matrix refuses any entry
+that is not an int (a bool included) in one pass over their types and
+reduces them mod p as it is built: in C, through bytes, when p <= 256 and
+they are already residues, else by `x % p`. Matrices the library computes
+hold residues by construction and skip both.
 """
 
 from itertools import chain, repeat
@@ -48,9 +49,8 @@ class FpMatrix:
     @classmethod
     def _of(cls, p, rows, cols, residues):
         """The matrix of `residues`, unchecked: p is a prime, rows and cols
-        are at least 1, and residues holds rows * cols ints in [0, p), as
-        bytes (kept as they are), a bytearray or a list for p <= 256 and as
-        a list no one else holds above."""
+        are at least 1, and residues is bytes (kept as they are), another
+        bytes-like object or an iterable of rows * cols ints in [0, p)."""
         self = cls.__new__(cls)
         self._store(p, rows, cols, residues)
         return self
@@ -59,7 +59,7 @@ class FpMatrix:
         self.p = p
         self.rows = rows
         self.cols = cols
-        self._residues = bytes(residues) if p <= 256 else residues
+        self._residues = bytes(residues) if p <= 256 else list(residues)
 
     @property
     def entries(self):
@@ -122,6 +122,16 @@ def rank(a):
     return _kernels.rank(a._residues, a.rows, a.cols, a.p)
 
 
+def unipotent_ranks(a):
+    """[rank(N^0), rank(N^1), ...] down to 0 for N = a - 1, a ValueError unless
+    N is square and nilpotent. N is a copy of a's buffer, a bytearray if it is bytes."""
+    if a.rows != a.cols:
+        raise ValueError("matrix must be square")
+    nil = bytearray(a._residues) if a.p <= 256 else a.entries
+    nil[:: a.rows + 1] = [(x - 1) % a.p for x in nil[:: a.rows + 1]]
+    return _kernels.nilpotent_rank_sequence(nil, a.rows, a.p)
+
+
 def is_invertible(a):
     return a.rows == a.cols and rank(a) == a.rows
 
@@ -144,11 +154,10 @@ def inverse(a):
 
 def random_invertible(p, n, rng):
     """Uniform-entry sampling with rejection; deterministic under a seeded rng.
-    The draws go straight into bytes for p <= 256."""
+    The draws go straight into the matrix's buffer."""
     p, n = whole(p, "modulus"), whole(n, "n")
     _check_shape(p, n, n)
-    fill = bytes if p <= 256 else list
     while True:
-        m = FpMatrix._of(p, n, n, fill(map(rng.randrange, repeat(p, n * n))))
+        m = FpMatrix._of(p, n, n, map(rng.randrange, repeat(p, n * n)))
         if rank(m) == n:
             return m

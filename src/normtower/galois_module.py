@@ -2,7 +2,8 @@
 
 A module is a matrix sigma of p-power order acting on F_p^d. Indecomposable
 summands are Jordan blocks of the unipotent part, so the isomorphism type is
-the multiset of block sizes, read off the rank sequence of N = sigma - I.
+the multiset of block sizes, read off the rank sequence of N = sigma - I
+(fp_linalg.unipotent_ranks); this module never reads sigma's buffer.
 
 Such a module splits as a sum of free pieces F_p[G/H] (dimension a power of
 p) plus at most one exceptional summand of dimension p^m + 1 with m < n; the
@@ -10,10 +11,10 @@ integer m there is the value the norm-ladder invariant must take. A shape
 records the free multiplicities y_0..y_n and the optional exceptional m.
 
 A module file is JSON. read_plain_module reads a plain one, whose sigma is
-a square array of one-digit integers, straight into its residue buffer
-with a few bytes operations and no Python int per entry; it declines any
-other text, which module_from_json reads after json.loads. Both give the
-same module and raise the same errors on every text the first accepts.
+a square array of one-digit integers, straight into residue bytes with a
+few bytes operations and no Python int per entry; it declines any other
+text, which module_from_json reads after json.loads. Both give the same
+module and raise the same errors on every text the first accepts.
 """
 
 import itertools
@@ -23,7 +24,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from . import _kernels, fp_linalg
+from . import fp_linalg
 from .errors import (
     InternalCheckError,
     InvalidShape,
@@ -68,7 +69,7 @@ class GModule:
         self.n = n
         self.sigma = sigma
         try:
-            self._ranks = _kernels.nilpotent_rank_sequence(_nilpotent_part(sigma), sigma.rows, p)
+            self._ranks = fp_linalg.unipotent_ranks(sigma)
         except ValueError:
             raise OrderViolation(
                 "sigma - 1 is not nilpotent; the order is not a power of p"
@@ -82,17 +83,6 @@ class GModule:
 
     def __repr__(self):
         return f"GModule(p={self.p}, n={self.n}, dim={self.dim})"
-
-
-def _nilpotent_part(sigma):
-    """The flat entries of N = sigma - 1, each in [0, p) like sigma's: a
-    copy of sigma's buffer, a bytearray for p <= 256, which the kernels'
-    to_fields copies rather than converts, else a list. The diagonal is set
-    by one slice assignment."""
-    d, p = sigma.rows, sigma.p
-    nil = bytearray(sigma._residues) if p <= 256 else sigma.entries
-    nil[:: d + 1] = [(x - 1) % p for x in nil[:: d + 1]]
-    return nil
 
 
 @dataclass(frozen=True)
@@ -237,7 +227,7 @@ def _block_diagonal(p, sizes):
     flat[1 :: dim + 1] = b"\x01" * (dim - 1)
     for at in itertools.accumulate(sizes[:-1]):  # the first row of each later block
         flat[(at - 1) * (dim + 1) + 1] = 0
-    return FpMatrix._of(p, dim, dim, flat if p <= 256 else list(flat))
+    return FpMatrix._of(p, dim, dim, flat)
 
 
 def synthesize(shape):
@@ -248,7 +238,7 @@ def synthesize(shape):
 
 def module_from_profile(p, n, sizes):
     """Block-diagonal module with the given block sizes (parts <= p^n, sum <= MAX_DIM)."""
-    top = p ** whole(n, "n", floor=1, ceiling=MAX_N)
+    top = whole(p, "p") ** whole(n, "n", floor=1, ceiling=MAX_N)
     for s in sizes:
         whole(s, "block size", floor=1, ceiling=top)
     _within_max_dim(sum(sizes))
@@ -321,8 +311,8 @@ def bruteforce_block_sizes(mod):
         raise SearchSpaceTooLarge(f"dimension {d} > {_ORACLE_MAX_DIM}")
     if p**d > 20000:
         raise SearchSpaceTooLarge(f"p^dim = {p ** d} vectors is too many")
-    nil = _nilpotent_part(mod.sigma)
-    nrows = [nil[i * d : (i + 1) * d] for i in range(d)]
+    rows = enumerate(mod.sigma.to_rows())
+    nrows = [[(x - (i == j)) % p for j, x in enumerate(row)] for i, row in rows]
 
     def napply(v):
         return tuple(sum(r[j] * v[j] for j in range(d)) % p for r in nrows)
@@ -465,4 +455,4 @@ def read_plain_module(text):
     _within_max_dim(d)
     fp_linalg._check_shape(p, d, d)
     residues = compact.translate(bytes.maketrans(_DIGITS, bytes(k % p for k in range(10))), b"[],")
-    return GModule(p, n, FpMatrix._of(p, d, d, residues if p <= 256 else list(residues)))
+    return GModule(p, n, FpMatrix._of(p, d, d, residues))

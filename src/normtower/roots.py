@@ -38,7 +38,7 @@ class RootOfUnityContent:
 
     @classmethod
     def cyclotomic(cls, conductor):
-        if conductor % 2 == 0 and conductor % 4 != 0:
+        if whole(conductor, "conductor") % 2 == 0 and conductor % 4 != 0:
             conductor //= 2
         return cls("cyclotomic", conductor)
 

@@ -213,3 +213,52 @@ def test_nilpotent_rank_sequence_blocks():
     assert _kernels.nilpotent_rank_sequence(sigma.entries, 5, 3) == [5, 3, 1, 0]
     with pytest.raises(ValueError):
         _kernels.nilpotent_rank_sequence(identity(3, 2).entries, 2, 3)
+
+
+BUFFER_FORMS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "list": list,
+    "tuple": tuple,
+    "iterator": iter,
+}
+
+
+@pytest.mark.parametrize("form", BUFFER_FORMS.values(), ids=BUFFER_FORMS.keys())
+@pytest.mark.parametrize("p", [2, 251, 257, 2**61 - 1])
+def test_of_takes_any_bytes_like_or_iterable_of_residues(p, form):
+    # residues below 256, so that every form can hold them
+    residues = [(7 * k + 1) % min(p, 256) for k in range(12)]
+    m = FpMatrix._of(p, 3, 4, form(residues))
+    assert m == FpMatrix(p, 3, 4, residues)
+    assert m.entries == residues
+    assert m.to_rows() == [residues[:4], residues[4:8], residues[8:]]
+    assert fp_linalg.rank(m) == fp_linalg.rank(FpMatrix(p, 3, 4, residues))
+
+
+def test_of_keeps_a_bytes_buffer_and_copies_a_mutable_one():
+    raw = bytes([1, 0, 0, 1])
+    assert FpMatrix._of(2, 2, 2, raw)._residues is raw
+    for p, buffer in ((2, bytearray(raw)), (257, list(raw))):
+        m = FpMatrix._of(p, 2, 2, buffer)
+        buffer[0] = 0
+        assert m.entries == [1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 251, 257, 2**61 - 1])
+def test_unipotent_ranks_are_the_ranks_of_the_powers_of_a_minus_1(p):
+    # two Jordan blocks, of sizes 3 and 1, conjugated by a random matrix
+    block = FpMatrix.from_rows(p, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    q = fp_linalg.random_invertible(p, 4, random.Random(p))
+    a = fp_linalg.mat_mul(fp_linalg.mat_mul(fp_linalg.inverse(q), block), q)
+    before = a.entries
+    assert fp_linalg.unipotent_ranks(a) == [4, 2, 1, 0]
+    assert fp_linalg.unipotent_ranks(block) == [4, 2, 1, 0]
+    assert a.entries == before  # a's own buffer is not touched
+
+
+def test_unipotent_ranks_refuse_a_non_square_or_non_unipotent_matrix():
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        fp_linalg.unipotent_ranks(zeros(3, 2, 3))
+    with pytest.raises(ValueError):
+        fp_linalg.unipotent_ranks(zeros(3, 2, 2))  # 0 - 1 is invertible

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from normtower import fp_linalg, galois_module, numtheory
+from normtower import _kernels, fp_linalg, galois_module, numtheory
 from normtower.errors import (
     InternalCheckError,
     InvalidShape,
@@ -135,7 +135,7 @@ def test_gmodule_refuses_past_max_dim_before_ranks(monkeypatch):
     def no_ranks(*args):
         raise AssertionError("rank sequence taken")
 
-    monkeypatch.setattr(galois_module._kernels, "nilpotent_rank_sequence", no_ranks)
+    monkeypatch.setattr(_kernels, "nilpotent_rank_sequence", no_ranks)
     d = galois_module.MAX_DIM + 1
     identity = FpMatrix(2, d, d, [int(i % (d + 1) == 0) for i in range(d * d)])
     with pytest.raises(SearchSpaceTooLarge, match=f"^dimension {d} > 512$"):

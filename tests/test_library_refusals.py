@@ -565,6 +565,7 @@ NO_INT = {
     "fp_linalg.FpMatrix.to_rows",
     "fp_linalg.mat_mul",
     "fp_linalg.rank",
+    "fp_linalg.unipotent_ranks",
     "fp_linalg.is_invertible",
     "fp_linalg.inverse",
     "galois_module.GModule.dim",
@@ -628,7 +629,8 @@ def _each_int_position(values):
     ]
 
 
-@pytest.mark.parametrize("call, args, i, bad", _each_int_position((True, 2.0)))
+# a str too: read through whole at first use, it is refused, never a TypeError
+@pytest.mark.parametrize("call, args, i, bad", _each_int_position((True, 2.0, "2")))
 def test_int_arg_refuses_bool_and_float(call, args, i, bad):
     args = list(args)
     args[i] = bad
