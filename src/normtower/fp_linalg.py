@@ -4,11 +4,12 @@ A matrix keeps its entries once, as residues in [0, p) in one row-major
 buffer that FpMatrix._store alone picks and no other module reads: `bytes`
 when p <= 256, else a list of ints. The product, the rank and
 `unipotent_ranks` hand it, or a copy, to _kernels; `entries`, `row`,
-`to_rows` and the inverse build lists from it. A matrix refuses any entry
-that is not an int (a bool included) in one pass over their types and
-reduces them mod p as it is built: in C, through bytes, when p <= 256 and
-they are already residues, else by `x % p`. Matrices the library computes
-hold residues by construction and skip both.
+`to_rows` and the inverse build lists from it. FpMatrix(p, rows), the one
+checked constructor, refuses any entry that is not an int (a bool
+included) in one pass over their types and reduces them mod p: in C,
+through bytes, when p <= 256 and they are already residues, else by
+`x % p`. Matrices the library computes hold residues by construction and
+skip both, through the unchecked FpMatrix._of.
 """
 
 from itertools import chain, repeat
@@ -21,21 +22,10 @@ from .numtheory import is_prime, shown, whole
 class FpMatrix:
     __slots__ = ("p", "rows", "cols", "_residues")
 
-    def __init__(self, p, rows, cols, entries):
-        if not isinstance(entries, (list, tuple)):
-            raise ValueError("matrix entries must be a list or tuple")
-        if list(map(type, entries)).count(int) != len(entries):
-            raise NonIntegerEntries("matrix entries must be integers")
-        _check_shape(p, rows, cols)
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match dimensions")
-        self._store(p, rows, cols, _reduced((entries,), p))
-
-    @classmethod
-    def from_rows(cls, p, row_list):
-        """The matrix with these rows, read straight into its buffer: the
-        same checks and refusals as FpMatrix(p, rows, cols, flat entries)."""
-        rows = row_list if isinstance(row_list, (list, tuple)) else ()
+    def __init__(self, p, rows):
+        """The matrix with these rows, read straight into its buffer with no
+        flat list in between; p must be a proved prime and a row nonempty."""
+        rows = rows if isinstance(rows, (list, tuple)) else ()
         if not rows or not all(isinstance(r, (list, tuple)) for r in rows):
             raise ValueError("rows must be a nonempty list or tuple of lists or tuples")
         cols = len(rows[0])
@@ -44,7 +34,7 @@ class FpMatrix:
         if list(map(type, chain.from_iterable(rows))).count(int) != len(rows) * cols:
             raise NonIntegerEntries("matrix entries must be integers")
         _check_shape(p, len(rows), cols)
-        return cls._of(p, len(rows), cols, _reduced(rows, p))
+        self._store(p, len(rows), cols, _reduced(rows, p))
 
     @classmethod
     def _of(cls, p, rows, cols, residues):
@@ -69,10 +59,14 @@ class FpMatrix:
         return list(self._residues)
 
     def row(self, i):
-        return list(self._residues[i * self.cols : (i + 1) * self.cols])
+        """Row i as a new list, i read as a list index: a negative i counts
+        from the end, and one outside the rows raises IndexError."""
+        start = range(0, len(self._residues), self.cols)[i]
+        return list(self._residues[start : start + self.cols])
 
     def to_rows(self):
-        return [self.row(i) for i in range(self.rows)]
+        c = self.cols
+        return [list(self._residues[k : k + c]) for k in range(0, len(self._residues), c)]
 
     def __eq__(self, other):
         return (
@@ -130,10 +124,6 @@ def unipotent_ranks(a):
     nil = bytearray(a._residues) if a.p <= 256 else a.entries
     nil[:: a.rows + 1] = [(x - 1) % a.p for x in nil[:: a.rows + 1]]
     return _kernels.nilpotent_rank_sequence(nil, a.rows, a.p)
-
-
-def is_invertible(a):
-    return a.rows == a.cols and rank(a) == a.rows
 
 
 def inverse(a):

@@ -175,11 +175,15 @@ def classify_profile(profile, p, n):
 
     Every size that is a power of p is a free block, including size 2 at
     p = 2. A non-power size must equal p^m + 1 for a single m < n, at most
-    once; anything else is not realizable in this module category.
+    once; anything else is not realizable in this module category. Each
+    size must be an int >= 1, not a bool, else a ValueError.
     """
     if not is_prime(whole(p, "p")):
         raise InvalidShape("p must be prime and n >= 1")
     whole(n, "n", floor=1, ceiling=MAX_N)
+    if list(map(type, profile)).count(int) != len(profile):
+        for size in profile:
+            whole(size, "block size")
     free = [0] * (n + 1)
     exceptional = None
     for size in profile:
@@ -191,6 +195,7 @@ def classify_profile(profile, p, n):
             continue
         m = power_exponent(size - 1, p)
         if m not in exceptional_range(p, n):
+            whole(size, "block size", floor=1)  # every size below 1 lands here
             raise NotRealizable(f"block size {size} is neither p^i nor p^m + 1, m < n")
         if exceptional is not None:
             raise NotRealizable("more than one exceptional block size")
@@ -370,9 +375,9 @@ def bruteforce_block_sizes(mod):
         raise InternalCheckError("no chain basis found; the module is corrupt")
     sizes = tuple(len(c) for c in chains)
     cols = [w for c in chains for w in c]
-    q = FpMatrix.from_rows(p, [[cols[j][i] for j in range(d)] for i in range(d)])
+    q = FpMatrix(p, [[cols[j][i] for j in range(d)] for i in range(d)])
     j = _block_diagonal(p, sizes)
-    if not fp_linalg.is_invertible(q):
+    if fp_linalg.rank(q) != d:
         raise InternalCheckError("chain basis is not invertible")
     if fp_linalg.mat_mul(mod.sigma, q) != fp_linalg.mat_mul(q, j):
         raise InternalCheckError("chain basis fails sigma Q = Q J")
@@ -405,7 +410,7 @@ def module_from_json(data):
         raise ValueError("module JSON 'sigma' must be a non-empty square list of rows")
     _within_max_dim(len(sigma))
     try:
-        sigma = FpMatrix.from_rows(p, sigma)
+        sigma = FpMatrix(p, sigma)
     except NonIntegerEntries:
         raise ValueError("module JSON 'sigma' entries must be integers") from None
     return GModule(p, n, sigma)

@@ -4,16 +4,21 @@ import re
 import pytest
 
 from normtower import _kernels, fp_linalg
-from normtower.errors import NormTowerError, NotInvertible
+from normtower.errors import NonIntegerEntries, NotInvertible
 from normtower.fp_linalg import FpMatrix
 
 
 def identity(p, n):
-    return FpMatrix(p, n, n, [int(i == j) for i in range(n) for j in range(n)])
+    return FpMatrix(p, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def zeros(p, rows, cols):
-    return FpMatrix(p, rows, cols, [0] * (rows * cols))
+    return FpMatrix(p, [[0] * cols for _ in range(rows)])
+
+
+def of_entries(p, rows, cols, entries):
+    """The rows x cols matrix of these row-major entries."""
+    return FpMatrix(p, [entries[i * cols : (i + 1) * cols] for i in range(rows)])
 
 
 def rref(a):
@@ -41,10 +46,8 @@ def kernel_basis(a):
 
 def test_matrix_construction_validates():
     with pytest.raises(ValueError):
-        FpMatrix(4, 1, 1, [0])  # modulus must be prime
-    with pytest.raises(ValueError):
-        FpMatrix(3, 2, 2, [0, 1, 2])  # wrong entry count
-    m = FpMatrix.from_rows(3, [[4, -1], [0, 2]])
+        FpMatrix(4, [[0]])  # modulus must be prime
+    m = FpMatrix(3, [[4, -1], [0, 2]])
     assert m.to_rows() == [[1, 2], [0, 2]]
 
 
@@ -61,46 +64,49 @@ RESIDUE_CASES = {
 @pytest.mark.parametrize("p", [2, 3, 251, 257, 2**61 - 1])
 def test_entries_are_the_residues_of_the_input(p, make):
     entries = make(p)
-    assert FpMatrix(p, 2, 3, entries).entries == [x % p for x in entries]
-    assert FpMatrix(p, 2, 3, tuple(entries)).entries == [x % p for x in entries]
-
-
-@pytest.mark.parametrize("make", RESIDUE_CASES.values(), ids=RESIDUE_CASES.keys())
-@pytest.mark.parametrize("p", [2, 251, 257, 2**61 - 1])
-def test_from_rows_reads_the_rows_as_the_flat_constructor(p, make):
-    entries = make(p)
     rows = [entries[:3], entries[3:]]
-    flat = FpMatrix(p, 2, 3, entries)
-    for m in (FpMatrix.from_rows(p, rows), FpMatrix.from_rows(p, tuple(map(tuple, rows)))):
-        assert m == flat and flat == m
-        assert m.entries == flat.entries == [x % p for x in entries]
-        assert [m.row(i) for i in (0, 1, -1)] == [flat.row(i) for i in (0, 1, -1)]
-        assert m.to_rows() == flat.to_rows() == [[x % p for x in row] for row in rows]
+    residues = [[x % p for x in row] for row in rows]
+    m = FpMatrix(p, rows)
+    for other in (FpMatrix(p, tuple(map(tuple, rows))), FpMatrix(p, residues)):
+        assert m == other and other == m
+    assert m.entries == [x % p for x in entries]
+    assert [m.row(i) for i in (0, 1, -1, -2)] == [*residues, *residues[::-1]]
+    assert m.to_rows() == residues
     # the same buffer in another shape is another matrix
-    assert FpMatrix.from_rows(p, [entries]) != flat
+    assert FpMatrix(p, [entries]) != m
+
+
+def test_row_reads_its_index_as_a_list_does():
+    m = FpMatrix(5, [[1, 2], [3, 4]])
+    assert [m.row(i) for i in (0, 1, -1, -2)] == [[1, 2], [3, 4], [3, 4], [1, 2]]
+    for i in (2, -3):
+        with pytest.raises(IndexError):
+            m.row(i)
+
+
+NOT_INTS = "matrix entries must be integers"
 
 
 @pytest.mark.parametrize(
-    "p, rows",
+    "p, rows, error, message",
     [
-        (2, [[1, True], [0, 1]]),
-        (3, [[1, 2.0], [0, 1]]),
-        (251, [["1", 0], [0, 1]]),
-        (257, [[None, 0], [0, 1]]),
-        (4, [[1, True], [0, 1]]),  # a non-int entry is refused before the modulus
-        (4, [[1, 0], [0, 1]]),
-        (1, [[1, 0], [0, 1]]),
-        (True, [[1, 0], [0, 1]]),
-        (2**61 + 1, [[1, 0], [0, 1]]),
-        (3, [[], []]),
+        (2, [[1, True], [0, 1]], NonIntegerEntries, NOT_INTS),
+        (3, [[1, 2.0], [0, 1]], NonIntegerEntries, NOT_INTS),
+        (251, [["1", 0], [0, 1]], NonIntegerEntries, NOT_INTS),
+        (257, [[None, 0], [0, 1]], NonIntegerEntries, NOT_INTS),
+        # a non-int entry is refused before the modulus
+        (4, [[1, True], [0, 1]], NonIntegerEntries, NOT_INTS),
+        (4, [[1, 0], [0, 1]], ValueError, "modulus 4 is not prime"),
+        (1, [[1, 0], [0, 1]], ValueError, "modulus 1 is not prime"),
+        (True, [[1, 0], [0, 1]], ValueError, "modulus must be an integer, got True"),
+        (2**61 + 1, [[1, 0], [0, 1]], ValueError, f"modulus {2**61 + 1} is not prime"),
+        (3, [[], []], ValueError, "cols must be >= 1"),
     ],
 )
-def test_from_rows_refuses_as_the_flat_constructor(p, rows):
-    flat = [x for row in rows for x in row]
-    with pytest.raises((ValueError, NormTowerError)) as expected:
-        FpMatrix(p, len(rows), len(rows[0]), flat)
-    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
-        FpMatrix.from_rows(p, rows)
+def test_matrix_refuses_by_name(p, rows, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
+        FpMatrix(p, rows)
+    assert type(refused.value) is error
 
 
 @pytest.mark.parametrize("p", [2, 251, 257, 2**61 - 1])
@@ -108,12 +114,12 @@ def test_computed_matrices_equal_the_matrices_of_their_entries(p):
     rng = random.Random(p)
     a = fp_linalg.random_invertible(p, 4, rng)
     for m in (a, fp_linalg.inverse(a), fp_linalg.mat_mul(a, a)):
-        assert FpMatrix(p, 4, 4, m.entries) == m
-        assert FpMatrix.from_rows(p, m.to_rows()) == m
+        assert of_entries(p, 4, 4, m.entries) == m
+        assert FpMatrix(p, m.to_rows()) == m
 
 
 def test_entries_are_a_new_list_each_time():
-    m = FpMatrix(3, 1, 2, [1, 2])
+    m = FpMatrix(3, [[1, 2]])
     m.entries[0] = 0
     m.row(0)[0] = 0
     m.to_rows()[0][0] = 0
@@ -132,15 +138,15 @@ def test_rank_sequence_reads_bytes_as_the_list(p):
 
 def test_identity_multiplication():
     rng = random.Random(0)
-    m = FpMatrix(5, 3, 3, [rng.randrange(5) for _ in range(9)])
+    m = FpMatrix(5, [[rng.randrange(5) for _ in range(3)] for _ in range(3)])
     assert fp_linalg.mat_mul(identity(5, 3), m) == m
     assert fp_linalg.mat_mul(m, identity(5, 3)) == m
 
 
 def test_unipotent_orders():
-    u2 = FpMatrix.from_rows(2, [[1, 1], [0, 1]])
+    u2 = FpMatrix(2, [[1, 1], [0, 1]])
     assert fp_linalg.mat_mul(u2, u2) == identity(2, 2)
-    u3 = FpMatrix.from_rows(3, [[1, 1], [0, 1]])
+    u3 = FpMatrix(3, [[1, 1], [0, 1]])
     u3_squared = fp_linalg.mat_mul(u3, u3)
     assert u3_squared != identity(3, 2)
     assert fp_linalg.mat_mul(u3_squared, u3) == identity(3, 2)
@@ -149,14 +155,14 @@ def test_unipotent_orders():
 def test_rank_examples():
     assert fp_linalg.rank(zeros(3, 4, 4)) == 0
     assert fp_linalg.rank(identity(2, 5)) == 5
-    assert fp_linalg.rank(FpMatrix.from_rows(2, [[1, 1], [1, 1]])) == 1
+    assert fp_linalg.rank(FpMatrix(2, [[1, 1], [1, 1]])) == 1
 
 
 def test_kernel_basis_examples():
     assert kernel_basis(identity(3, 4)) == []
     basis = kernel_basis(zeros(3, 2, 2))
     assert sorted(basis) == [(0, 1), (1, 0)]
-    basis = kernel_basis(FpMatrix.from_rows(3, [[1, 2]]))
+    basis = kernel_basis(FpMatrix(3, [[1, 2]]))
     assert basis == [(1, 1)]  # x + 2y = 0 over F_3
 
 
@@ -165,7 +171,7 @@ def test_rank_nullity_and_product_bound():
     for _ in range(50):
         p = rng.choice((2, 3, 5, 11))
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        a = FpMatrix(p, rows, cols, [rng.randrange(p) for _ in range(rows * cols)])
+        a = FpMatrix(p, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
         r = fp_linalg.rank(a)
         kernel = kernel_basis(a)
         assert r + len(kernel) == cols
@@ -173,7 +179,7 @@ def test_rank_nullity_and_product_bound():
             image = [sum(a.entries[i * cols + j] * v[j] for j in range(cols)) % p for i in range(rows)]
             assert not any(image)
         inner = rng.randint(1, 6)
-        b = FpMatrix(p, cols, inner, [rng.randrange(p) for _ in range(cols * inner)])
+        b = FpMatrix(p, [[rng.randrange(p) for _ in range(inner)] for _ in range(cols)])
         assert fp_linalg.rank(fp_linalg.mat_mul(a, b)) <= min(r, fp_linalg.rank(b))
 
 
@@ -191,7 +197,7 @@ def test_inverse_roundtrip():
 def test_rref_is_deterministic_and_idempotent():
     rng = random.Random(4)
     for _ in range(20):
-        a = FpMatrix(3, 4, 5, [rng.randrange(3) for _ in range(20)])
+        a = FpMatrix(3, [[rng.randrange(3) for _ in range(5)] for _ in range(4)])
         reduced, r, pivots = rref(a)
         assert rref(a) == (reduced, r, pivots)
         assert _kernels.rref(reduced, 4, 5, 3) == (reduced, r, pivots)
@@ -200,7 +206,7 @@ def test_rref_is_deterministic_and_idempotent():
 
 def test_nilpotent_rank_sequence_blocks():
     # J_3 + J_2: ranks 5, 3, 1, 0
-    sigma = FpMatrix.from_rows(
+    sigma = FpMatrix(
         3,
         [
             [0, 1, 0, 0, 0],
@@ -230,10 +236,10 @@ def test_of_takes_any_bytes_like_or_iterable_of_residues(p, form):
     # residues below 256, so that every form can hold them
     residues = [(7 * k + 1) % min(p, 256) for k in range(12)]
     m = FpMatrix._of(p, 3, 4, form(residues))
-    assert m == FpMatrix(p, 3, 4, residues)
+    assert m == of_entries(p, 3, 4, residues)
     assert m.entries == residues
     assert m.to_rows() == [residues[:4], residues[4:8], residues[8:]]
-    assert fp_linalg.rank(m) == fp_linalg.rank(FpMatrix(p, 3, 4, residues))
+    assert fp_linalg.rank(m) == fp_linalg.rank(of_entries(p, 3, 4, residues))
 
 
 def test_of_keeps_a_bytes_buffer_and_copies_a_mutable_one():
@@ -248,7 +254,7 @@ def test_of_keeps_a_bytes_buffer_and_copies_a_mutable_one():
 @pytest.mark.parametrize("p", [2, 3, 251, 257, 2**61 - 1])
 def test_unipotent_ranks_are_the_ranks_of_the_powers_of_a_minus_1(p):
     # two Jordan blocks, of sizes 3 and 1, conjugated by a random matrix
-    block = FpMatrix.from_rows(p, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    block = FpMatrix(p, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     q = fp_linalg.random_invertible(p, 4, random.Random(p))
     a = fp_linalg.mat_mul(fp_linalg.mat_mul(fp_linalg.inverse(q), block), q)
     before = a.entries

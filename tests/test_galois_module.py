@@ -33,7 +33,7 @@ from normtower.numtheory import is_prime
 
 
 def gmodule(p, n, rows):
-    return GModule(p, n, FpMatrix.from_rows(p, rows))
+    return GModule(p, n, FpMatrix(p, rows))
 
 
 def regular_representation(p, n):
@@ -137,7 +137,7 @@ def test_gmodule_refuses_past_max_dim_before_ranks(monkeypatch):
 
     monkeypatch.setattr(_kernels, "nilpotent_rank_sequence", no_ranks)
     d = galois_module.MAX_DIM + 1
-    identity = FpMatrix(2, d, d, [int(i % (d + 1) == 0) for i in range(d * d)])
+    identity = FpMatrix(2, [[int(i == j) for j in range(d)] for i in range(d)])
     with pytest.raises(SearchSpaceTooLarge, match=f"^dimension {d} > 512$"):
         GModule(2, 1, identity)
     with pytest.raises(SearchSpaceTooLarge, match="^dimension 600 > 512$"):

@@ -79,13 +79,12 @@ def test_inverse_matches_the_reference(p):
     for n in (1, 2, 5, 9):
         for kind in KINDS:
             mat = random_matrix(rng, n, n, p, kind)
-            aug = []
-            for i in range(n):
-                aug += mat[i * n : (i + 1) * n] + [int(i == j) for j in range(n)]
+            rows = [mat[i * n : (i + 1) * n] for i in range(n)]
+            aug = [x for i in range(n) for x in rows[i] + [int(i == j) for j in range(n)]]
             reduced, _, pivots = dense_rank_reference.rref(aug, n, 2 * n, p)
             if any(j >= n for j in pivots):
                 with pytest.raises(NotInvertible):
-                    fp_linalg.inverse(FpMatrix(p, n, n, mat))
+                    fp_linalg.inverse(FpMatrix(p, rows))
                 continue
             expected = [x for i in range(n) for x in reduced[i * 2 * n + n : (i + 1) * 2 * n]]
-            assert fp_linalg.inverse(FpMatrix(p, n, n, mat)).entries == expected
+            assert fp_linalg.inverse(FpMatrix(p, rows)).entries == expected

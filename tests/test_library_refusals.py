@@ -100,7 +100,7 @@ ROWS = {
     "classify_profile huge n": lambda: classify_profile((3, 1), 3, 10**7),
     "enumerate_shapes huge n": lambda: enumerate_shapes(2, 10**7, 4),
     "tower bool d": lambda: FiniteFieldTower(3, True, 2),
-    "matrix bool rows": lambda: FpMatrix(2, True, 1, [1]),
+    "matrix bool rows": lambda: FpMatrix(2, True),
     "tower float r": lambda: FiniteFieldTower(3, 1, 2.0),
     "field float k": lambda: FiniteField(3, 2.0),
     "proposition_check float degree bound": lambda: proposition_check(3, 2, 1.0),
@@ -145,15 +145,15 @@ ROWS = {
 
 # refused by name, not by whatever a later step trips over
 NAMED = {
-    "matrix float entry": (lambda: FpMatrix(2, 1, 1, [0.5]), "^matrix entries must be integers$"),
-    "matrix str entry": (lambda: FpMatrix(2, 1, 1, ["1"]), "^matrix entries must be integers$"),
-    "matrix bool entry": (lambda: FpMatrix(2, 1, 2, [1, True]), "^matrix entries must be integers$"),
+    "matrix float entry": (lambda: FpMatrix(2, [[0.5]]), "^matrix entries must be integers$"),
+    "matrix str entry": (lambda: FpMatrix(2, [["1"]]), "^matrix entries must be integers$"),
+    "matrix bool entry": (lambda: FpMatrix(2, [[1, True]]), "^matrix entries must be integers$"),
     "matrix float entry p > 256": (
-        lambda: FpMatrix(257, 1, 1, [1.0]),
+        lambda: FpMatrix(257, [[1.0]]),
         "^matrix entries must be integers$",
     ),
     "gmodule float entry": (
-        lambda: GModule(2, 1, FpMatrix(2, 1, 1, [1.0])),
+        lambda: GModule(2, 1, FpMatrix(2, [[1.0]])),
         "^matrix entries must be integers$",
     ),
     "index_bound_check p = 4": (lambda: index_bound_check(1, 4, 4), "^4 is not prime$"),
@@ -163,21 +163,33 @@ NAMED = {
     "enumerate_shapes p = 1": (lambda: enumerate_shapes(1, 1, 5), "^p must be >= 2$"),
     "random_gmodule p = 0": (lambda: random_gmodule(0, 1, 3), "^p must be >= 2$"),
     "random_gmodule p = -3": (lambda: random_gmodule(-3, 1, 3), "^p must be >= 2$"),
-    "from_rows no rows": (
-        lambda: FpMatrix.from_rows(3, []),
+    "matrix no rows": (
+        lambda: FpMatrix(3, []),
         "^rows must be a nonempty list or tuple of lists or tuples$",
     ),
-    "from_rows int row": (
-        lambda: FpMatrix.from_rows(3, [[1], 2]),
+    "matrix int row": (
+        lambda: FpMatrix(3, [[1], 2]),
         "^rows must be a nonempty list or tuple of lists or tuples$",
     ),
-    "from_rows int rows": (
-        lambda: FpMatrix.from_rows(3, 5),
+    "matrix int rows": (
+        lambda: FpMatrix(3, 5),
         "^rows must be a nonempty list or tuple of lists or tuples$",
     ),
-    "matrix int entries": (
-        lambda: FpMatrix(2, 1, 1, 5),
-        "^matrix entries must be a list or tuple$",
+    "classify_profile float size": (
+        lambda: classify_profile((2.0,), 2, 2),
+        "^block size must be an integer, got 2.0$",
+    ),
+    "classify_profile bool size": (
+        lambda: classify_profile((True,), 2, 2),
+        "^block size must be an integer, got True$",
+    ),
+    "classify_profile str size": (
+        lambda: classify_profile(("2",), 2, 2),
+        "^block size must be an integer, got '2'$",
+    ),
+    "classify_profile size 0": (
+        lambda: classify_profile((2, 0), 2, 2),
+        "^block size must be >= 1$",
     ),
     # the ints are read before the desk-range tests compare them
     "proposition_check str l": (
@@ -278,29 +290,29 @@ UNREACHED = {
         SearchSpaceTooLarge,
         "8\\^7 cochains exceed limit",
     ),
-    "ragged rows": (lambda: FpMatrix.from_rows(3, [[1, 0], [1]]), ValueError, "ragged rows"),
+    "ragged rows": (lambda: FpMatrix(3, [[1, 0], [1]]), ValueError, "ragged rows"),
     "mat_mul moduli": (
-        lambda: mat_mul(FpMatrix(3, 1, 1, [1]), FpMatrix(5, 1, 1, [1])),
+        lambda: mat_mul(FpMatrix(3, [[1]]), FpMatrix(5, [[1]])),
         ValueError,
         "moduli differ",
     ),
     "mat_mul inner dimensions": (
-        lambda: mat_mul(FpMatrix(3, 1, 2, [1, 0]), FpMatrix(3, 1, 2, [1, 0])),
+        lambda: mat_mul(FpMatrix(3, [[1, 0]]), FpMatrix(3, [[1, 0]])),
         ValueError,
         "inner dimensions differ",
     ),
     "inverse of 1 x 2": (
-        lambda: inverse(FpMatrix(3, 1, 2, [1, 0])),
+        lambda: inverse(FpMatrix(3, [[1, 0]])),
         NotInvertible,
         "non-square matrix",
     ),
     "gmodule modulus": (
-        lambda: GModule(5, 1, FpMatrix(3, 1, 1, [1])),
+        lambda: GModule(5, 1, FpMatrix(3, [[1]])),
         ValueError,
         "sigma modulus differs from p",
     ),
     "gmodule not square": (
-        lambda: GModule(3, 1, FpMatrix(3, 1, 2, [1, 0])),
+        lambda: GModule(3, 1, FpMatrix(3, [[1, 0]])),
         ValueError,
         "sigma must be square",
     ),
@@ -369,7 +381,7 @@ SHOWN_BY_BIT_LENGTH = {
     "FiniteField l": (lambda: FiniteField(B, 2), ValueError),
     "FiniteField k": (lambda: FiniteField(3, B), SearchSpaceTooLarge),
     "index_ladder p": (lambda: index_ladder(B, 2), ValueError),
-    "matrix modulus": (lambda: FpMatrix(B, 1, 1, [1]), ValueError),
+    "matrix modulus": (lambda: FpMatrix(B, [[1]]), ValueError),
     "classify_profile block size": (lambda: classify_profile((B,), 2, 1), NotRealizable),
     "find_dirichlet_prime p": (lambda: find_dirichlet_prime(B + 1, 1, 5), ValueError),
     "index_bound_check p": (lambda: index_bound_check(1, 4, B), ValueError),
@@ -439,14 +451,13 @@ INT_ARGS = {
     "cyclic_algebra.solve_norm": (cyclic_algebra.solve_norm, (TOWER, 2), (1,)),
     "cyclic_algebra.split_certificate": (cyclic_algebra.split_certificate, (TOWER, 2), (1,)),
     "cyclic_algebra.index_ladder": (index_ladder, (2, 3), (0, 1)),
-    "fp_linalg.FpMatrix": (FpMatrix, (2, 1, 1, [1]), (0, 1, 2)),
-    "fp_linalg.FpMatrix.from_rows": (FpMatrix.from_rows, (2, [[1]]), (0,)),
+    "fp_linalg.FpMatrix": (FpMatrix, (2, [[1]]), (0,)),
     "fp_linalg.random_invertible": (
         lambda p, n: fp_linalg.random_invertible(p, n, random.Random(0)),
         (2, 2),
         (0, 1),
     ),
-    "galois_module.GModule": (GModule, (2, 1, FpMatrix(2, 1, 1, [1])), (0, 1)),
+    "galois_module.GModule": (GModule, (2, 1, FpMatrix(2, [[1]])), (0, 1)),
     "galois_module.DecompositionShape": (DecompositionShape, (3, 2, (0, 0, 0), 1), (0, 1, 3)),
     "galois_module.exceptional_range": (galois_module.exceptional_range, (3, 2), (0, 1)),
     "galois_module.classify_profile": (classify_profile, ((2, 1), 2, 1), (1, 2)),
@@ -566,7 +577,6 @@ NO_INT = {
     "fp_linalg.mat_mul",
     "fp_linalg.rank",
     "fp_linalg.unipotent_ranks",
-    "fp_linalg.is_invertible",
     "fp_linalg.inverse",
     "galois_module.GModule.dim",
     "galois_module.DecompositionShape.exceptional_dim",
