@@ -65,15 +65,24 @@ RESIDUE_CASES = {
 def test_entries_are_the_residues_of_the_input(p, make):
     entries = make(p)
     rows = [entries[:3], entries[3:]]
+    assert FpMatrix(p, rows).entries == [x % p for x in entries]
+    assert FpMatrix(p, tuple(map(tuple, rows))).entries == [x % p for x in entries]
+
+
+@pytest.mark.parametrize("make", RESIDUE_CASES.values(), ids=RESIDUE_CASES.keys())
+@pytest.mark.parametrize("p", [2, 251, 257, 2**61 - 1])
+def test_rows_give_the_unchecked_matrix_of_their_residues(p, make):
+    entries = make(p)
+    rows = [entries[:3], entries[3:]]
     residues = [[x % p for x in row] for row in rows]
-    m = FpMatrix(p, rows)
-    for other in (FpMatrix(p, tuple(map(tuple, rows))), FpMatrix(p, residues)):
-        assert m == other and other == m
-    assert m.entries == [x % p for x in entries]
-    assert [m.row(i) for i in (0, 1, -1, -2)] == [*residues, *residues[::-1]]
-    assert m.to_rows() == residues
+    unchecked = FpMatrix._of(p, 2, 3, [x % p for x in entries])
+    for m in (FpMatrix(p, rows), FpMatrix(p, tuple(map(tuple, rows))), FpMatrix(p, residues)):
+        assert m == unchecked and unchecked == m
+        assert m.entries == unchecked.entries == [x % p for x in entries]
+        assert [m.row(i) for i in (0, 1, -1, -2)] == [*residues, *residues[::-1]]
+        assert m.to_rows() == unchecked.to_rows() == residues
     # the same buffer in another shape is another matrix
-    assert FpMatrix(p, [entries]) != m
+    assert FpMatrix(p, [entries]) != unchecked
 
 
 def test_row_reads_its_index_as_a_list_does():
@@ -85,6 +94,7 @@ def test_row_reads_its_index_as_a_list_does():
 
 
 NOT_INTS = "matrix entries must be integers"
+NOT_ROWS = "rows must be a nonempty list or tuple of lists or tuples"
 
 
 @pytest.mark.parametrize(
@@ -101,6 +111,24 @@ NOT_INTS = "matrix entries must be integers"
         (True, [[1, 0], [0, 1]], ValueError, "modulus must be an integer, got True"),
         (2**61 + 1, [[1, 0], [0, 1]], ValueError, f"modulus {2**61 + 1} is not prime"),
         (3, [[], []], ValueError, "cols must be >= 1"),
+        (2.0, [[1]], ValueError, "modulus must be an integer, got 2.0"),
+        ("2", [[1]], ValueError, "modulus must be an integer, got '2'"),
+        (None, [[1]], ValueError, "modulus must be an integer, got None"),
+        (0, [[1]], ValueError, "modulus 0 is not prime"),
+        (-3, [[1]], ValueError, "modulus -3 is not prime"),
+        (3, (), ValueError, NOT_ROWS),
+        (3, "ab", ValueError, NOT_ROWS),
+        (3, {0: [1]}, ValueError, NOT_ROWS),
+        (3, [(1,), "a"], ValueError, NOT_ROWS),
+        (3, [[1], [0, 1]], ValueError, "ragged rows"),
+        (2**61 - 1, [[1, 0], [1]], ValueError, "ragged rows"),
+        # ragged rows are refused before a non-int entry
+        (4, [[1, 2.0], [1]], ValueError, "ragged rows"),
+        (2, [[None]], NonIntegerEntries, NOT_INTS),
+        (3, [[1, False]], NonIntegerEntries, NOT_INTS),
+        (3, [[1, 1j]], NonIntegerEntries, NOT_INTS),
+        (2**61 - 1, [[1.0]], NonIntegerEntries, NOT_INTS),
+        (True, [[1.0]], NonIntegerEntries, NOT_INTS),
     ],
 )
 def test_matrix_refuses_by_name(p, rows, error, message):
