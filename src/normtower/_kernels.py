@@ -5,13 +5,18 @@ sum of scaled vectors is a few big-int operations in C rather than a Python
 loop over entries. Row reduction and the rank sequence share one echelon
 routine, `_echelon`. Once a dense step of the rank sequence has halved the
 rank, the rest of the sequence runs on the operator restricted to its
-image, in vectors of that image's dimension (see nilpotent_rank_sequence).
+image, in vectors of that image's dimension (see _packed_rank_sequence).
+A matrix with at most one nonzero per row, as in Jordan form, skips all
+that: its rank sequence is a walk along a successor map.
 """
 
-from itertools import chain
+from itertools import chain, compress, repeat
 from operator import mul
 
 from .packing import from_fields, layout, reduce, to_fields
+
+
+_NONZERO = bytes([0]) + bytes([1]) * 255  # translate table: every nonzero byte to 1
 
 
 def backend_name():
@@ -102,6 +107,38 @@ def rank(mat, rows, cols, p):
 
 def nilpotent_rank_sequence(mat, n, p):
     """[rank(N^0), rank(N^1), ...] down to 0 for a nilpotent n x n matrix N.
+    Raises ValueError if N is not nilpotent.
+
+    A = N^T has the same ranks. When each row j of N holds at most one
+    nonzero, at column q, as in a module in Jordan form, A sends e_j to a
+    nonzero multiple of e_q, so rank(A^k) is the number of distinct ends of
+    the k-step walks along the successor map j -> q, with no arithmetic mod
+    p. Any other N takes the packed route, _packed_rank_sequence.
+    """
+    if mat.count(0) >= n * n - n:  # at most n nonzeros
+        if isinstance(mat, (bytes, bytearray)):
+            ones = mat.translate(_NONZERO)
+            at, k = [], ones.find(1)
+            while k >= 0:
+                at.append(k)
+                k = ones.find(1, k + 1)
+        else:
+            at = list(compress(range(n * n), mat))
+        succ = dict(map(divmod, at, repeat(n)))  # row -> column of its nonzero
+        if len(succ) == len(at):
+            ranks, ends = [n], range(n)
+            while ranks[-1]:
+                ends = set(map(succ.get, ends))
+                ends.discard(None)
+                if len(ends) == ranks[-1]:
+                    raise ValueError("matrix is not nilpotent")
+                ranks.append(len(ends))
+            return ranks
+    return _packed_rank_sequence(mat, n, p)
+
+
+def _packed_rank_sequence(mat, n, p):
+    """nilpotent_rank_sequence on packed rows, for any N.
 
     Iterates an echelonized basis of the image instead of forming powers:
     each step multiplies the operator into a basis of its last image and

@@ -122,7 +122,10 @@ def unipotent_ranks(a):
     if a.rows != a.cols:
         raise ValueError("matrix must be square")
     nil = bytearray(a._residues) if a.p <= 256 else a.entries
-    nil[:: a.rows + 1] = [(x - 1) % a.p for x in nil[:: a.rows + 1]]
+    diagonal = [(x - 1) % a.p for x in nil[:: a.rows + 1]]
+    if sum(diagonal) % a.p:  # a nilpotent N has trace 0
+        raise ValueError("matrix is not nilpotent")
+    nil[:: a.rows + 1] = diagonal
     return _kernels.nilpotent_rank_sequence(nil, a.rows, a.p)
 
 

@@ -40,7 +40,7 @@ from .numtheory import MAX_N, is_prime, json_int, power_exponent, shown, whole
 
 # largest module dimension, and so largest shape, module file and synthesize
 # output; c06 and the tests build at most 90. At 512 over F_2 one Jordan block
-# takes 0.3-0.6 s, a dense conjugate of it 58 s (README; ROADMAP item 2)
+# takes 7-11 ms, a dense conjugate of it 58 s (README; ROADMAP item 2)
 MAX_DIM = 512
 
 

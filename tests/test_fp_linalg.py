@@ -296,3 +296,25 @@ def test_unipotent_ranks_refuse_a_non_square_or_non_unipotent_matrix():
         fp_linalg.unipotent_ranks(zeros(3, 2, 3))
     with pytest.raises(ValueError):
         fp_linalg.unipotent_ranks(zeros(3, 2, 2))  # 0 - 1 is invertible
+
+
+@pytest.mark.parametrize("p", [2, 3, 257, 2**61 - 1])
+def test_unipotent_ranks_refuse_a_nonzero_trace_before_the_kernel(monkeypatch, p):
+    def kernel(mat, n, p):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(_kernels, "nilpotent_rank_sequence", kernel)
+    # a Jordan block of 2 beside a 1 x 1 block c + 1: tr(a - 1) = c
+    for c in {1, p - 1, p // 2}:
+        a = FpMatrix(p, [[1, 1, 0], [0, 1, 0], [0, 0, (c + 1) % p]])
+        with pytest.raises(ValueError, match="^matrix is not nilpotent$"):
+            fp_linalg.unipotent_ranks(a)
+    # uniform random entries, the last diagonal one set so that tr(a - 1) = 1
+    rng = random.Random(p)
+    rows = [[rng.randrange(p) for _ in range(5)] for _ in range(5)]
+    rows[4][4] = (6 - sum(rows[i][i] for i in range(4))) % p
+    with pytest.raises(ValueError, match="^matrix is not nilpotent$"):
+        fp_linalg.unipotent_ranks(FpMatrix(p, rows))
+    # the swap has trace 0, so only the kernel can refuse it
+    with pytest.raises(AssertionError, match="the kernel ran"):
+        fp_linalg.unipotent_ranks(FpMatrix(p, [[1, 1], [1, 1]]))

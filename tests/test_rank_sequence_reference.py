@@ -1,7 +1,12 @@
-"""The packed rank sequence against the dense reference in
-dense_rank_reference.py, on seeded inputs."""
+"""Both routes of the rank sequence against the dense reference in
+dense_rank_reference.py, on seeded inputs: the successor-map lane that
+nilpotent_rank_sequence takes on an N with at most one nonzero a row, and
+the packed route, _packed_rank_sequence, that it takes on any other N."""
 
+import importlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -29,9 +34,46 @@ def nilpotent_part(mod):
 
 
 def assert_agree(mat, n, p):
+    """The kernel as called, and its packed route alone, against the reference."""
     expected = dense_rank_reference.nilpotent_rank_sequence(list(mat), n, p)
     assert _kernels.nilpotent_rank_sequence(list(mat), n, p) == expected
+    assert _kernels._packed_rank_sequence(list(mat), n, p) == expected
     return expected
+
+
+# every route, for the inputs each must refuse as not nilpotent
+ROUTES = (
+    dense_rank_reference.nilpotent_rank_sequence,
+    _kernels.nilpotent_rank_sequence,
+    _kernels._packed_rank_sequence,
+)
+
+
+def assert_refused(mat, n, p):
+    for route in ROUTES:
+        with pytest.raises(ValueError, match="^matrix is not nilpotent$"):
+            route(list(mat), n, p)
+
+
+class Declined(Exception):
+    """Raised by the packed route while takes_lane watches."""
+
+
+def takes_lane(mat, n, p):
+    """Whether nilpotent_rank_sequence answers or refuses N without its packed route."""
+
+    def packed(mat, n, p):
+        raise Declined
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "_packed_rank_sequence", packed)
+        try:
+            _kernels.nilpotent_rank_sequence(mat, n, p)
+        except Declined:
+            return False
+        except ValueError:
+            pass
+    return True
 
 
 def test_pure_rank_sequence_known_values():
@@ -43,10 +85,11 @@ def test_pure_rank_sequence_known_values():
 
 def test_one_by_one():
     for p in PRIMES:
+        assert takes_lane([0], 1, p)
         assert assert_agree([0], 1, p) == [1, 0]
         for mat in ([1], [p - 1]):
-            with pytest.raises(ValueError, match="not nilpotent"):
-                _kernels.nilpotent_rank_sequence(mat, 1, p)
+            assert takes_lane(mat, 1, p)
+            assert_refused(mat, 1, p)
 
 
 def test_block_diagonal_modules():
@@ -93,10 +136,7 @@ def test_sparse_non_nilpotent_rejected_by_both():
             trace = sum(mat[i * n + i] for i in range(n)) % p
             k = rng.randrange(n)
             mat[k * n + k] = (mat[k * n + k] - trace + rng.randrange(1, p)) % p
-            with pytest.raises(ValueError, match="not nilpotent"):
-                dense_rank_reference.nilpotent_rank_sequence(list(mat), n, p)
-            with pytest.raises(ValueError, match="not nilpotent"):
-                _kernels.nilpotent_rank_sequence(list(mat), n, p)
+            assert_refused(mat, n, p)
 
 
 def test_trace_zero_non_nilpotent_rejected_by_both():
@@ -109,9 +149,7 @@ def test_trace_zero_non_nilpotent_rejected_by_both():
             for i in range(k - 1):
                 mat[i * n + i + 1] = 1
             mat[k * n + k + 1] = mat[(k + 1) * n + k] = 1
-            for kernel in (dense_rank_reference, _kernels):
-                with pytest.raises(ValueError, match="not nilpotent"):
-                    kernel.nilpotent_rank_sequence(list(mat), n, p)
+            assert_refused(mat, n, p)
 
 
 def jordan_nilpotent(rng, n, largest):
@@ -260,9 +298,7 @@ def test_dense_non_nilpotent_rejected_by_both():
             else:
                 wide[(n - 2) * n + n - 1] = wide[(n - 1) * n + n - 2] = 1
             dense = conjugate(rng, wide, n, p)
-            for kernel in (dense_rank_reference, _kernels):
-                with pytest.raises(ValueError, match="not nilpotent"):
-                    kernel.nilpotent_rank_sequence(list(dense), n, p)
+            assert_refused(dense, n, p)
 
 
 def restrictions(ranks):
@@ -315,9 +351,7 @@ def test_dense_non_nilpotent_stalls_after_a_restriction():
             mat[k * n + k + 1] = mat[(k + 1) * n + k] = 1
             assert restrictions([n, 2 * threes + 2, threes + 2, 2, 2])
             dense = conjugate(rng, mat, n, p)
-            for kernel in (dense_rank_reference, _kernels):
-                with pytest.raises(ValueError, match="not nilpotent"):
-                    kernel.nilpotent_rank_sequence(list(dense), n, p)
+            assert_refused(dense, n, p)
 
 
 def test_large_dense_conjugate_keeps_the_block_ranks():
@@ -330,3 +364,132 @@ def test_large_dense_conjugate_keeps_the_block_ranks():
     assert dense.count(0) < n * n * 0.7
     assert len(restrictions(ranks)) >= 2
     assert _kernels.nilpotent_rank_sequence(dense, n, p) == ranks
+
+
+def partial_monomial(rng, n, p, edges):
+    """N with the nonzero scalar c_j at (j, q) for each edge j -> q."""
+    mat = [0] * (n * n)
+    for j, q in edges:
+        mat[j * n + q] = rng.randrange(1, p)
+    return mat
+
+
+def test_lane_declines_a_row_with_two_nonzeros():
+    # the shift J with one more nonzero in row 0: n nonzeros in all
+    rng = random.Random(21)
+    for p in PRIMES:
+        for n in (3, 5, 12):
+            mat = partial_monomial(rng, n, p, [(j, j + 1) for j in range(n - 1)] + [(0, n - 1)])
+            assert mat.count(0) == n * n - n
+            assert not takes_lane(mat, n, p)
+            assert assert_agree(mat, n, p)[1] == n - 1
+
+
+def test_lane_declines_more_than_n_nonzeros():
+    # strictly upper triangular and full: one Jordan block, n(n - 1) / 2 nonzeros
+    for p in PRIMES:
+        for n in (4, 9):
+            mat = [1 if j > i else 0 for i in range(n) for j in range(n)]
+            assert not takes_lane(mat, n, p)
+            assert assert_agree(mat, n, p) == list(range(n, -1, -1))
+
+
+def test_lane_on_the_zero_matrix():
+    for p in PRIMES:
+        for n in (1, 2, 7, 24):
+            assert takes_lane([0] * (n * n), n, p)
+            assert assert_agree([0] * (n * n), n, p) == [n, 0]
+
+
+def test_lane_on_merging_walks():
+    # 0 -> 2, 1 -> 2, 2 -> 3: two walks of length 2 end at 3
+    for p in PRIMES:
+        mat = partial_monomial(random.Random(p), 4, p, [(0, 2), (1, 2), (2, 3)])
+        assert takes_lane(mat, 4, p)
+        assert assert_agree(mat, 4, p) == [4, 2, 1, 0]
+    # random forests: each j -> q with q later in a random order, so walks
+    # merge and N is nilpotent
+    rng = random.Random(22)
+    for p in PRIMES:
+        for n in DIMS:
+            order = rng.sample(range(n), n)
+            edges = [(j, rng.choice(order[k + 1 :])) for k, j in enumerate(order[:-1])]
+            mat = partial_monomial(rng, n, p, rng.sample(edges, rng.randint(0, len(edges))))
+            assert takes_lane(mat, n, p)
+            assert_agree(mat, n, p)
+
+
+def test_lane_refuses_scaled_cycles():
+    # a cycle of length k with nonzero scalars, fed by a walk that merges
+    # into it and beside a shift: the ranks stall at k
+    rng = random.Random(23)
+    for p in PRIMES:
+        for k in (1, 2, 5):
+            n = k + 6
+            cycle = [(j, (j + 1) % k) for j in range(k)]
+            tail = [(k, k + 1), (k + 1, 0)]
+            shift = [(j, j + 1) for j in range(k + 2, n - 1)]
+            mat = partial_monomial(rng, n, p, cycle + tail + shift)
+            assert takes_lane(mat, n, p)
+            assert_refused(mat, n, p)
+
+
+def test_lane_on_one_jordan_block_at_512():
+    # too large for the dense reference: the ranks of one block fall by one
+    # a step, on the lane and on the packed route
+    n = 512
+    for p in (2**61 - 1, 2, 7):
+        mat = partial_monomial(random.Random(p), n, p, [(j, j + 1) for j in range(n - 1)])
+        assert takes_lane(mat, n, p)
+        assert _kernels.nilpotent_rank_sequence(mat, n, p) == list(range(n, -1, -1))
+    assert _kernels._packed_rank_sequence(mat, n, 7) == list(range(n, -1, -1))
+
+
+@pytest.mark.parametrize("p", [2, 251, 257, 2**61 - 1])
+def test_lane_reads_every_buffer_form(p):
+    # the lane finds the nonzeros of bytes-like buffers with translate and
+    # find, and of lists with compress
+    forms = (bytes, bytearray, list) if p <= 256 else (list,)
+    rng = random.Random(p)
+    for n in (1, 6, 24, 61):
+        for nilpotent in (True, False):
+            edges = [(j, j + 1) for j in range(n - 1) if rng.random() < 0.8]
+            if not nilpotent:
+                edges = [(j, q) for j, q in edges if j] + [(0, n - 1), (n - 1, 0)] * (n > 1)
+                edges = edges or [(0, 0)]
+            mat = partial_monomial(rng, n, p, edges)
+            for form in forms:
+                assert takes_lane(form(mat), n, p)
+            if nilpotent:
+                expected = assert_agree(mat, n, p)
+                for form in forms:
+                    assert _kernels.nilpotent_rank_sequence(form(mat), n, p) == expected
+            else:
+                assert_refused(mat, n, p)
+                for form in forms:
+                    with pytest.raises(ValueError, match="^matrix is not nilpotent$"):
+                        _kernels.nilpotent_rank_sequence(form(mat), n, p)
+
+
+def benchmark_inputs(monkeypatch, workload, seed):
+    """p, n and N = sigma - 1 of every module of the benchmark's pass 0,
+    built by perfbench/gen.py, which does not import normtower."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    gen = importlib.import_module("gen")
+    for op in gen.make_ops(workload, seed, 0):
+        module = json.loads(op.files["module"])
+        p, sigma = module["p"], module["sigma"]
+        n = len(sigma)
+        yield [(x - (i == j)) % p for i, row in enumerate(sigma) for j, x in enumerate(row)], n, p
+
+
+@pytest.mark.parametrize("seed", [0, 2027])
+def test_benchmark_module_workloads_sit_on_either_side_of_the_lane(monkeypatch, seed):
+    # every modules-sparse input, rejects included, is in Jordan form; no
+    # modules-dense input is. A generator or kernel change that moves a
+    # workload across the route selection fails here.
+    sparse = [takes_lane(*args) for args in benchmark_inputs(monkeypatch, "modules-sparse", seed)]
+    dense = [takes_lane(*args) for args in benchmark_inputs(monkeypatch, "modules-dense", seed)]
+    assert len(sparse) == len(dense) == 100
+    assert all(sparse)
+    assert not any(dense)

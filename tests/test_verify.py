@@ -1,10 +1,12 @@
-"""The c10 inputs and the failure record of the verify registry."""
+"""The c10 inputs, the routes c06 runs, and the failure record of the
+verify registry."""
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
-from normtower import cli, padic, verify
+from normtower import _kernels, cli, padic, verify
 from normtower.numtheory import factorize
 
 
@@ -57,3 +59,35 @@ def test_failing_check_carries_its_traceback(monkeypatch, capsys):
     assert lines[1].endswith("FAIL    0.00s  ValueError: broken on purpose")
     assert lines[2] == "1/2 checks passed"
     assert not any("Traceback" in line for line in lines)
+
+
+def test_c06_runs_both_rank_sequence_routes(monkeypatch, capsys):
+    # the synthesized modules are in Jordan form, so the kernel reads their
+    # ranks off the successor map; their dense conjugates take the packed
+    # route, and c06 compares the two profiles
+    calls = Counter()
+    kernel, packed = _kernels.nilpotent_rank_sequence, _kernels._packed_rank_sequence
+
+    def counted_kernel(mat, n, p):
+        calls["kernel"] += 1
+        return kernel(mat, n, p)
+
+    def counted_packed(mat, n, p):
+        calls["packed"] += 1
+        return packed(mat, n, p)
+
+    monkeypatch.setattr(_kernels, "nilpotent_rank_sequence", counted_kernel)
+    monkeypatch.setattr(_kernels, "_packed_rank_sequence", counted_packed)
+    assert cli.main(["verify-paper", "--only", "c06", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["passed"]
+    lane = calls["kernel"] - calls["packed"]
+    assert lane > 0
+    assert calls["packed"] > 0
+
+    # a packed route that drops the last rank breaks the conjugation check
+    def short_packed(mat, n, p):
+        return packed(mat, n, p)[:-2] + [0]
+
+    monkeypatch.setattr(_kernels, "_packed_rank_sequence", short_packed)
+    assert cli.main(["verify-paper", "--only", "c06", "--format", "json"]) == 2
+    assert not json.loads(capsys.readouterr().out)["checks"][0]["passed"]
