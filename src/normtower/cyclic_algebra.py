@@ -8,13 +8,18 @@ the splitting is certified by an explicit zero divisor built from a norm
 preimage of b. The degree/index bookkeeping of the centralizer ladder is
 exposed as exact integer identities.
 
-A field element stays in one format here, the packed int of _Quotient; the
+A field element of L = F_(l^k) is the packed int of _Quotient, one field
+per coefficient, and an algebra element is one int in the same packing:
+slot i, which starts at field i (2k - 1), holds the k fields of the
+coefficient of u^i, with room for a product before it is folded. ca_mul
+works on all r slots at once, and a field of its sum holds at most r k <= k^2
+products (k = d r), the bound the field's own layout already allows. The
 base-l encoding a user reads and writes is formed only at the edges:
 FiniteFieldTower, algebra_element and AlgebraElement.coeffs.
 """
 
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 
 from . import _kernels, packing
 from .errors import InternalCheckError, SearchSpaceTooLarge
@@ -30,13 +35,13 @@ class _Quotient:
 
     Every operation takes and returns sum c_i x^i packed as sum c_i 2^(w i),
     one packing field per coefficient, each below l; encode and decode
-    convert from and to the encoding sum c_i l^i. dot sums up to k products
-    and reduces once (Dumas, Fousse and Salvy), mul is its one-pair case, and
-    both end in _product. A product is one big-int multiply (Kronecker
-    substitution) whose field t holds sum_(i+j=t) a_i b_j, at most k products,
-    so a field of the sum holds at most k^2, as layout allows: one reduce
-    brings all 2k - 1 fields below l. The top k - 1 fields c_(k+t) fold in as
-    c_(k+t) (x^(k+t) mod f), k - 1 more products per field, and a second reduce.
+    convert from and to the encoding sum c_i l^i. A product is one big-int
+    multiply (Kronecker substitution) whose field t holds
+    sum_(i+j=t) a_i b_j, at most k products. layout allows k^2 products per
+    field, so that a sum of up to k products is reduced once (Dumas, Fousse
+    and Salvy): one reduce brings all 2k - 1 fields below l. The top k - 1
+    fields c_(k+t) fold in as c_(k+t) (x^(k+t) mod f), k - 1 more products
+    per field, and a second reduce.
     """
 
     def __init__(self, l, modulus):
@@ -76,19 +81,12 @@ class _Quotient:
         """The encoding in [0, l^k) of a packed element."""
         return sum(map(mul, self._fields(v), self._lpows))
 
-    def _product(self, v):
-        v = self._reduce(v)
+    def mul(self, u, v):
+        v = self._reduce(u * v)
         high = v >> self._top
         if high:
             v = self._reduce((v & self._low) + sum(map(mul, self._fields(high), self._folds)))
         return v
-
-    def dot(self, us, vs):
-        """sum u_i v_i over at most k pairs."""
-        return self._product(sum(map(mul, us, vs)))
-
-    def mul(self, u, v):
-        return self._product(u * v)
 
     def add(self, *terms):
         """The sum of at most k^2 + 1 packed elements: its fields are at most
@@ -187,7 +185,9 @@ class FiniteField(_Quotient):
 class FiniteFieldTower:
     """E = F_{l^d} inside L = F_{l^(rd)}, tau = Frobenius^d of order r.
 
-    Its methods take and return encodings."""
+    Its methods take and return encodings. It also fixes the packing of
+    algebra elements: r slots of 2k - 1 fields, each field as wide as the
+    field's own, so packing.layout(k * k, l, r (2k - 1)) reduces them all."""
 
     def __init__(self, l, d, r):
         whole(r, "relative degree r", floor=2)
@@ -195,7 +195,15 @@ class FiniteFieldTower:
         self.l = l
         self.d = d
         self.r = r
-        self.field = FiniteField(l, d * r)
+        self.field = f = FiniteField(l, d * r)
+        width = 8 * f._size
+        self._slot = width * (2 * f.k - 1)  # bits per slot
+        ones = sum(1 << self._slot * i for i in range(r))
+        # the field's qmask covers one slot, so this is layout's for r slots
+        self._qmask = f._qmask * ones
+        self._digit_mask = ((1 << width) - 1) * ones  # field 0 of every slot
+        self._coeff_mask = f._low * ones  # fields 0, ..., k - 1 of every slot
+        self._fold_shifts = [f._top + shift for shift in f._shifts[:-1]]
         self._algebras = {}  # b -> ca_mul's tables for (L/E, tau, b), from _algebra
 
     def tau(self, e):
@@ -212,18 +220,26 @@ class FiniteFieldTower:
             out = f.mul(out, f.frobenius(a, self.d * j))
         return f.decode(out)
 
+    def _reduce(self, v):
+        """v with every field of its r slots, each below 2^h, reduced mod l."""
+        f = self.field
+        return packing.reduce(v, self.l, f._m, f._s, self._qmask)
+
     def _algebra(self, b):
-        """ca_mul's tables for (L/E, tau, b), b checked once: [i][j] holds the
-        packed images of the power basis under the F_l-linear c -> tau^j(c),
-        times b where i + j >= r wraps by u^r = b."""
+        """ca_mul's tables for (L/E, tau, b), b checked once: for j = 1, ...,
+        r - 1, the packed images of the power basis under the F_l-linear
+        c -> tau^j(c), the same times b for the slots i >= r - j that wrap
+        by u^r = b, and the mask of the slots below them."""
         tables = self._algebras.get(b)
         if tables is None:
             if b == 0 or not self.is_in_base(b):
                 raise ValueError("b must be a nonzero element of the base field")
             f, r, packed = self.field, self.r, self.field.encode(b)
-            taus = [f._images(self.d * j) for j in range(r)]
-            wraps = taus if b == 1 else [[f.mul(packed, im) for im in images] for images in taus]
-            tables = [[(wraps if i + j >= r else taus)[j] for j in range(r)] for i in range(r)]
+            tables = []
+            for j in range(1, r):
+                images = f._images(self.d * j)
+                wraps = images if b == 1 else [f.mul(packed, im) for im in images]
+                tables.append((images, wraps, (1 << self._slot * (r - j)) - 1))
             self._algebras[b] = tables
         return tables
 
@@ -236,20 +252,22 @@ class FiniteFieldTower:
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """Sum of u^j c_j with packed coefficients c_j in L. Their fields are
-    below l, so equality and is_zero on the packed form are exact."""
+    """Sum of u^j c_j, packed: c_j in slot j of the tower's layout. Every
+    field is below l and the top k - 1 fields of a slot are 0, so equality,
+    hashing and is_zero on the packed int are exact."""
 
     tower: object
     b: int  # encoding
-    packed: tuple
+    packed: int
 
     @property
     def coeffs(self):
         """The encodings of c_0, ..., c_(r-1)."""
-        return tuple(map(self.tower.field.decode, self.packed))
+        tower, f = self.tower, self.tower.field
+        return tuple(f.decode((self.packed >> tower._slot * i) & f._low) for i in range(tower.r))
 
     def is_zero(self):
-        return not any(self.packed)
+        return not self.packed
 
 
 def _check_same_algebra(x, y):
@@ -258,12 +276,16 @@ def _check_same_algebra(x, y):
 
 
 def algebra_element(tower, b, coeffs):
-    """The element with coefficient encodings coeffs, each read mod l^(rd)."""
+    """The element with coefficient encodings coeffs, ints each read mod l^(rd)."""
     tower._algebra(whole(b, "b"))  # raises ValueError unless b is a unit of E
     coeffs = tuple(coeffs)
     if len(coeffs) != tower.r:
         raise ValueError(f"need exactly {tower.r} coefficients")
-    return AlgebraElement(tower, b, tuple(map(tower.field.encode, coeffs)))
+    f, packed, shift = tower.field, 0, 0
+    for i, c in enumerate(coeffs):
+        packed |= f.encode(whole(c, f"coefficient {i}")) << shift
+        shift += tower._slot
+    return AlgebraElement(tower, b, packed)
 
 
 def ca_one(tower, b):
@@ -272,29 +294,40 @@ def ca_one(tower, b):
 
 def ca_add(x, y):
     _check_same_algebra(x, y)
-    return AlgebraElement(x.tower, x.b, tuple(map(x.tower.field.add, x.packed, y.packed)))
+    return AlgebraElement(x.tower, x.b, x.tower._reduce(x.packed + y.packed))
 
 
 def ca_mul(x, y):
-    """(u^i c)(u^j d) = u^(i+j) tau^j(c) d, with u^r = b folding the wrap.
+    """(u^i c)(u^j d) = u^(i+j) tau^j(c) d, with u^r = b folding the wrap,
+    on all r slots of x at once.
 
-    Each nonzero c is read as digits once, tau^j(c) (times b on the wrap) is
-    k multiply-adds on the tower's tables, and one dot sums each slot.
+    j = 0 is one product, x times d_0. For each j >= 1 with d_j != 0, digit
+    t of every slot, C_t, times the image of x^t under tau^j (times b in the
+    slots that wrap) sums to tau^j of every coefficient; a reduce, a product
+    with d_j and a shift by j slots place it. A field of the sum holds at
+    most r k <= k^2 products. The slots past r - 1 fold onto the bottom, a
+    reduce, the top k - 1 fields of every slot fold in as in _Quotient.mul,
+    and a last reduce.
     """
     _check_same_algebra(x, y)
-    tower, f, r = x.tower, x.tower.field, x.tower.r
-    tables = tower._algebra(x.b)
-    ys = [(j, d) for j, d in enumerate(y.packed) if d]
-    us, vs = [[] for _ in range(r)], [[] for _ in range(r)]
-    for i, c in enumerate(x.packed):
-        if c == 0:
-            continue
-        digits, row = f._fields(c), tables[i]
-        for j, d in ys:
-            slot = (i + j) % r
-            us[slot].append(c if j == 0 else f._reduce(sum(map(mul, digits, row[j]))))
-            vs[slot].append(d)
-    return AlgebraElement(tower, x.b, tuple(map(f.dot, us, vs)))
+    tower, f = x.tower, x.tower.field
+    xs, ys, slot, low, digit = x.packed, y.packed, tower._slot, f._low, tower._digit_mask
+    digits = [(xs >> shift) & digit for shift in f._shifts]
+    total = xs * (ys & low)
+    for j, (images, wraps, below) in enumerate(tower._algebra(x.b), 1):
+        d = (ys >> slot * j) & low
+        if d:
+            if wraps is images:
+                tau = sum(map(mul, digits, images))
+            else:
+                stay = [c & below for c in digits]
+                tau = sum(map(mul, stay, images)) + sum(map(mul, map(sub, digits, stay), wraps))
+            total += tower._reduce(tau) * d << slot * j
+    top = slot * tower.r
+    total = tower._reduce((total & (1 << top) - 1) + (total >> top))
+    high = [(total >> shift) & digit for shift in tower._fold_shifts]
+    total = (total & tower._coeff_mask) + sum(map(mul, high, f._folds))
+    return AlgebraElement(tower, x.b, tower._reduce(total))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +367,7 @@ def split_certificate(tower, b):
     w = solve_norm(tower, b)
     f, r = tower.field, tower.r
     one = ca_one(tower, b)
-    v = AlgebraElement(tower, b, (0, f.inv(f.encode(w))) + (0,) * (r - 2))
+    v = AlgebraElement(tower, b, f.inv(f.encode(w)) << tower._slot)
     z, vj = one, v
     for _ in range(r - 1):
         z = ca_add(z, vj)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from normtower import _kernels, cyclic_algebra
+from normtower import _kernels, cyclic_algebra, packing
 from normtower.cyclic_algebra import (
     MAX_FIELD_ORDER,
     _is_irreducible,
@@ -181,25 +181,28 @@ def test_packed_mul_covers_every_field_sum_on_tight_fields():
                 assert packed_mul(field, a, b) == ref.mul(a, b)
 
 
-@pytest.mark.parametrize("l, k", [(31, 2), (7, 3), (313, 2), (99991, 1)])
-def test_dot_covers_k_products_of_max_digit_elements(l, k):
-    # k pairs with digits l - 1 and l - 2 put up to k^2 (l - 1)^2 in a field
-    # before the one reduce; (313, 2) and (99991, 1) read digits as p > 256
-    field = FiniteField(l, k)
-    ref = DigitField(l, field.modulus)
+@pytest.mark.parametrize("l, d, r", [(31, 1, 2), (7, 1, 3), (313, 1, 2), (5, 1, 4), (3, 2, 3)])
+def test_ca_mul_covers_rk_products_of_max_digit_elements(l, d, r):
+    # coefficients with digits l - 1 and l - 2 put up to r k (l - 1)^2 in a
+    # field before ca_mul's reduce, k^2 (l - 1)^2 when d = 1, where the
+    # packing is tightest; (313, 1, 2) reads digits as p > 256
+    tower = FiniteFieldTower(l, d, r)
+    ref = DigitField(l, tower.field.modulus)
+    k, order = d * r, tower.field.order
+    assert tower._qmask == packing.layout(k * k, l, r * (2 * k - 1))[3]
     heavy = [
-        sum(d * l**i for i, d in enumerate(digits))
+        sum(c * l**i for i, c in enumerate(digits))
         for digits in itertools.product((l - 1, l - 2), repeat=k)
     ]
-    rng = random.Random(f"dot:{l}:{k}")
-    cases = [([field.order - 1] * k, [field.order - 1] * k)]
-    for _ in range(60):
-        cases.append(([rng.choice(heavy) for _ in range(k)], [rng.choice(heavy) for _ in range(k)]))
-    cases += [(us[:t], vs[:t]) for us, vs in cases[:8] for t in range(k)]
-    for us, vs in cases:
-        expected = functools.reduce(ref.add, map(ref.mul, us, vs), 0)
-        got = field.dot([field.encode(u) for u in us], [field.encode(v) for v in vs])
-        assert field.decode(got) == expected
+    rng = random.Random(f"slots:{l}:{d}:{r}")
+    units = sorted(e for e in tower.base_elements() if e)
+    for b in {1, units[-1], rng.choice(units)}:
+        cases = [([order - 1] * r, [order - 1] * r)]
+        for _ in range(20):
+            cases.append(([rng.choice(heavy) for _ in range(r)], [rng.choice(heavy) for _ in range(r)]))
+        for xs, ys in cases:
+            x, y = algebra_element(tower, b, xs), algebra_element(tower, b, ys)
+            assert ca_mul(x, y).coeffs == tuple(twisted_product(ref, d, b, xs, ys))
 
 
 @pytest.mark.parametrize(
@@ -229,16 +232,28 @@ def test_ca_mul_agrees_with_reference_twisted_product(l, d, r):
             return [heavy() if i == slot else 0 for i in range(r)]
         return [rng.randrange(order) for _ in range(r)]
 
+    def assert_canonical(z):
+        # == and the dataclass hash compare packed ints: every stored field
+        # must be the one algebra_element stores, below l
+        assert z == algebra_element(tower, b, z.coeffs)
+        assert hash(z) == hash(algebra_element(tower, b, z.coeffs))
+        assert z.is_zero() == (z.coeffs == (0,) * r)
+
     for b in sorted(bs):
-        for _ in range(12):
-            xs, ys = coefficients(), coefficients()
-            x, y = algebra_element(tower, b, xs), algebra_element(tower, b, ys)
-            assert ca_mul(x, y).coeffs == tuple(twisted_product(ref, d, b, xs, ys))
         top = [order - 1] * r
         zero = [0] * r
-        for xs, ys in ((top, top), (top, zero), (zero, top)):
+        pairs = [(coefficients(), coefficients()) for _ in range(12)]
+        for xs, ys in pairs + [(top, top), (top, zero), (zero, top)]:
             x, y = algebra_element(tower, b, xs), algebra_element(tower, b, ys)
-            assert ca_mul(x, y).coeffs == tuple(twisted_product(ref, d, b, xs, ys))
+            product = ca_mul(x, y)
+            assert product.coeffs == tuple(twisted_product(ref, d, b, xs, ys))
+            assert_canonical(product)
+            assert_canonical(ca_add(x, y))
+            assert ca_add(x, y).coeffs == tuple(map(ref.add, xs, ys))
+            # x + (-x) is zero, and is stored as the zero element
+            minus = algebra_element(tower, b, [ref.sub(0, c) for c in xs])
+            assert_canonical(ca_add(x, minus))
+            assert ca_add(x, minus).is_zero()
 
 
 def test_tower_tau_and_base():

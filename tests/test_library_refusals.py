@@ -226,6 +226,26 @@ NAMED = {
         "^unknown tower variant <list past what Python prints>$",
     ),
     "residue_norm_test p = 0": (lambda: residue_norm_test(0, 1, 13), "^p must be >= 2$"),
+    "algebra_element str coefficient": (
+        lambda: algebra_element(TOWER, 1, ["1", 0]),
+        "^coefficient 0 must be an integer, got '1'$",
+    ),
+    "algebra_element float coefficient": (
+        lambda: algebra_element(TOWER, 1, [1.0, 0]),
+        "^coefficient 0 must be an integer, got 1.0$",
+    ),
+    "algebra_element None coefficient": (
+        lambda: algebra_element(TOWER, 1, [None, 0]),
+        "^coefficient 0 must be an integer, got None$",
+    ),
+    "algebra_element bool coefficient": (
+        lambda: algebra_element(TOWER, 1, [True, 0]),
+        "^coefficient 0 must be an integer, got True$",
+    ),
+    "algebra_element str second coefficient": (
+        lambda: algebra_element(TOWER, 1, [0, "1"]),
+        "^coefficient 1 must be an integer, got '1'$",
+    ),
 }
 
 
@@ -530,7 +550,7 @@ INT_RULE_EXEMPT = {
     "field arithmetic on the elements a field hands out": [
         *(
             f"cyclic_algebra._Quotient.{name}"
-            for name in ("encode", "decode", "dot", "mul", "add", "pow")
+            for name in ("encode", "decode", "mul", "add", "pow")
         ),
         "cyclic_algebra.FiniteField.inv",
         "cyclic_algebra.FiniteField.frobenius",

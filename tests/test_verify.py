@@ -1,12 +1,15 @@
-"""The c10 inputs, the routes c06 runs, and the failure record of the
-verify registry."""
+"""The c10 inputs, the routes c06 runs, the faults c09 catches, and the
+failure record of the verify registry."""
 
 import json
 import random
 from collections import Counter
 from fractions import Fraction
 
-from normtower import _kernels, cli, padic, verify
+import pytest
+
+from field_reference import DigitField, twisted_product
+from normtower import _kernels, cli, cyclic_algebra, padic, verify
 from normtower.numtheory import factorize
 
 
@@ -91,3 +94,23 @@ def test_c06_runs_both_rank_sequence_routes(monkeypatch, capsys):
     monkeypatch.setattr(_kernels, "_packed_rank_sequence", short_packed)
     assert cli.main(["verify-paper", "--only", "c06", "--format", "json"]) == 2
     assert not json.loads(capsys.readouterr().out)["checks"][0]["passed"]
+
+
+@pytest.mark.parametrize("fault", ["wrap dropped", "tau is the identity"])
+def test_c09_catches_a_wrong_product(monkeypatch, capsys, fault):
+    # either fault leaves an associative algebra, L[u]/(u^r - 1) or the
+    # commutative L[u]/(u^r - b), so the triples pass and the certificates,
+    # which need u^r = b and u w = tau(w) u, must fail
+    def wrong_product(x, y):
+        tower = x.tower
+        field = DigitField(tower.l, tower.field.modulus)
+        d, b = (tower.d, 1) if fault == "wrap dropped" else (0, x.b)
+        coeffs = twisted_product(field, d, b, x.coeffs, y.coeffs)
+        return cyclic_algebra.algebra_element(tower, x.b, coeffs)
+
+    monkeypatch.setattr(cyclic_algebra, "ca_mul", wrong_product)
+    assert cli.main(["verify-paper", "--only", "c09", "--format", "json"]) == 2
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert not check["passed"]
+    assert check["detail"].startswith(("AssertionError", "InternalCheckError: "))
+    assert "in split_certificate" in check["traceback"]
